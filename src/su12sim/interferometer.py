@@ -57,6 +57,18 @@ def phase_matrix(phi1, phi2, phi3):
     ).astype(complex)
 
 
+def chronological_product(mats):
+    """Product of stage matrices listed first-applied first.
+
+    Each stage multiplies from the left, S = S_n (... (S_2 S_1)); the
+    association order is part of the result's last bits.
+    """
+    S = np.eye(3, dtype=complex)
+    for m in mats:
+        S = m @ S
+    return S
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Gains, pump phases and internal phases of the four-FWM cascade."""
@@ -114,10 +126,7 @@ class InterferometerConfig:
 
     def total_matrix(self):
         """Full input->output mode transform (chronological product)."""
-        S = np.eye(3, dtype=complex)
-        for m in self.stage_matrices():
-            S = m @ S
-        return S
+        return chronological_product(self.stage_matrices())
 
     def mid_matrix(self):
         """Transform up to the midpoint (after both splitter FWMs)."""

@@ -4,6 +4,10 @@ All searches are deterministic: dense coarse grid, then local refinement
 with a halving step, ties broken by first-encountered cell in row-major
 order.  Cells whose sensitivity is divergent (infinite or undefined) are
 skipped rather than fatal; only an entirely divergent grid is an error.
+
+A weight search or weight surface computes the photocount moments of its
+probe configuration once and evaluates every weight candidate on them,
+one weight vector at a time, with the arithmetic of phase_sensitivity.
 """
 
 import math
@@ -19,6 +23,8 @@ from .sensitivity import (
     SensitivityReport,
     n_total,
     phase_sensitivity,
+    sensitivity_from_moments,
+    sensitivity_moments,
     zero_phase_limit,
 )
 
@@ -93,12 +99,13 @@ def optimize_weights(state, beta1, beta2, spec=None, phase_index=1):
     if spec is None:
         spec = WeightSearchSpec()
     cfg = _probe_config(beta1, beta2, spec.epsilon, phase_index)
+    moments = sensitivity_moments(cfg, state, phase_index)
     evaluations = 0
 
     def objective(point):
         nonlocal evaluations
         evaluations += 1
-        rep = phase_sensitivity(cfg, state, spec.weights_at(point), phase_index)
+        rep = sensitivity_from_moments(moments, spec.weights_at(point))
         return rep.delta_phi if math.isfinite(rep.delta_phi) else math.inf
 
     axis = np.linspace(spec.bounds[0], spec.bounds[1], spec.points)
@@ -140,7 +147,7 @@ def optimize_weights(state, beta1, beta2, spec=None, phase_index=1):
 
     w = spec.weights_at(best_point)
     weights = DetectorWeights(*w).normalized()
-    report = phase_sensitivity(cfg, state, weights, phase_index)
+    report = sensitivity_from_moments(moments, weights)
     limit = zero_phase_limit(state, beta1, beta2, weights, phase_index)
     return OptimizationResult(
         point=best_point,
@@ -182,11 +189,12 @@ def weight_surface(state, beta1, beta2, bounds=(-3.0, 3.0), points=61,
     Rows are (t_over_s, r_over_s, dphi).
     """
     cfg = _probe_config(beta1, beta2, epsilon, phase_index)
+    moments = sensitivity_moments(cfg, state, phase_index)
     axis = np.linspace(bounds[0], bounds[1], points)
     rows = []
     for t in axis:
         for r in axis:
-            rep = phase_sensitivity(cfg, state, (1.0, float(t), float(r)), phase_index)
+            rep = sensitivity_from_moments(moments, (1.0, float(t), float(r)))
             v = rep.delta_phi if math.isfinite(rep.delta_phi) else math.nan
             rows.append((float(t), float(r), v))
     return rows

@@ -5,9 +5,16 @@ w2 n2 + w3 n3.  Its phase sensitivity by error propagation is
 
     dphi_j = sqrt(Var O) / |d<O>/dphi_j|,
 
-evaluated at a working point of the cascade.  The quantity of interest
-is usually the limit of dphi_1 as the probe phase goes to zero, taken
-in the balanced configuration where the cascade is self-cancelling.
+evaluated at a working point of the cascade.  It depends on the
+configuration only through the photocount means, their covariance C and
+the slope vector d = d<n>/dphi_j: dphi_j = sqrt(w C w) / |w . d|.
+sensitivity_moments computes these once per configuration,
+sensitivity_from_moments evaluates one weight vector on them, and
+phase_sensitivity is the composition of the two.
+
+The quantity of interest is usually the limit of dphi_1 as the probe
+phase goes to zero, taken in the balanced configuration where the
+cascade is self-cancelling.
 Both the variance and the slope vanish there, so the limit is computed
 by evaluating at a ladder of small offsets and extrapolating; the
 dependence on the offset is quadratic, which makes a two-point
@@ -34,10 +41,11 @@ import numpy as np
 from .gaussian import (
     BogoliubovTransform,
     InputState,
+    estimator_stats,
     photon_statistics,
     propagate,
 )
-from .interferometer import InterferometerConfig
+from .interferometer import InterferometerConfig, chronological_product
 
 
 class NonConvergentLimitError(RuntimeError):
@@ -102,8 +110,12 @@ def _phase_stage_derivative(phi1, phi2, phi3, phase_index):
     return d
 
 
-def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-5):
-    """d<n_i>/dphi_j for all three modes, as a real 3-vector."""
+def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-5,
+                            mats=None):
+    """d<n_i>/dphi_j for all three modes, as a real 3-vector.
+
+    mats are the configuration's stage matrices, if already built.
+    """
     if method == "numeric":
         phis = [config.phi1, config.phi2, config.phi3]
         up, dn = list(phis), list(phis)
@@ -115,7 +127,9 @@ def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-
     if method != "analytic":
         raise ValueError(f"unknown derivative method {method!r}")
 
-    S1, S2, P, S3, S4 = config.stage_matrices()
+    S1, S2, P, S3, S4 = config.stage_matrices() if mats is None else mats
+    # left-associated, unlike total_matrix: each product keeps its own
+    # order because the last bits of every reported value depend on it
     S = S4 @ S3 @ P @ S2 @ S1
     dP = _phase_stage_derivative(config.phi1, config.phi2, config.phi3, phase_index)
     dS = S4 @ S3 @ dP @ S2 @ S1
@@ -155,6 +169,43 @@ class SensitivityReport:
     derivative: float
 
 
+def sensitivity_moments(config, state, phase_index=1, derivative="analytic", h=1e-5):
+    """Photocount moments that fix the sensitivity of every estimator.
+
+    Returns (mean_vec, cov, dmean): the output photon-number means, their
+    covariance matrix and d<n_i>/dphi_j, at the configuration's own phase
+    point.  derivative and h are as in mean_derivative.  The stage
+    matrices are built once and shared by the propagation and the
+    analytic derivative.
+    """
+    mats = config.stage_matrices()
+    mean_vec, cov = photon_statistics(propagate(chronological_product(mats), state))
+    dmean = _mean_vector_derivative(config, state, phase_index, derivative, h, mats)
+    return mean_vec, cov, dmean
+
+
+def sensitivity_from_moments(moments, weights):
+    """SensitivityReport of one weight vector on sensitivity_moments output.
+
+    The signal-free guards and the inf rule are those of phase_sensitivity.
+    """
+    mean_vec, cov, dmean = moments
+    w = _as_weight_array(weights)
+    mean, var = estimator_stats(mean_vec, cov, w)
+    gross_var = float(np.abs(w) @ np.abs(cov) @ np.abs(w))
+    if abs(var) <= 1e-12 * gross_var:
+        var = 0.0
+    d = float(w @ dmean)
+    gross_d = float(np.abs(w) @ np.abs(dmean))
+    if abs(d) <= 1e-12 * gross_d:
+        d = 0.0
+    if d == 0.0 or not math.isfinite(d):
+        dp = math.inf
+    else:
+        dp = math.sqrt(max(var, 0.0)) / abs(d)
+    return SensitivityReport(delta_phi=dp, mean=mean, variance=var, derivative=d)
+
+
 def phase_sensitivity(config, state, weights, phase_index=1,
                       derivative="analytic", h=1e-5):
     """Error-propagation sensitivity at the configuration's phase point.
@@ -167,23 +218,8 @@ def phase_sensitivity(config, state, weights, phase_index=1,
     rounding of large opposing terms -- are reported as signal-free
     instead of returning ratios of rounding noise.
     """
-    w = _as_weight_array(weights)
-    mean_vec, cov = photon_statistics(propagate(config, state))
-    mean = float(w @ mean_vec)
-    var = float(w @ cov @ w)
-    gross_var = float(np.abs(w) @ np.abs(cov) @ np.abs(w))
-    if abs(var) <= 1e-12 * gross_var:
-        var = 0.0
-    dmean = _mean_vector_derivative(config, state, phase_index, derivative, h)
-    d = float(w @ dmean)
-    gross_d = float(np.abs(w) @ np.abs(dmean))
-    if abs(d) <= 1e-12 * gross_d:
-        d = 0.0
-    if d == 0.0 or not math.isfinite(d):
-        dp = math.inf
-    else:
-        dp = math.sqrt(max(var, 0.0)) / abs(d)
-    return SensitivityReport(delta_phi=dp, mean=mean, variance=var, derivative=d)
+    return sensitivity_from_moments(
+        sensitivity_moments(config, state, phase_index, derivative, h), weights)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from su12sim import sensitivity
 from su12sim.gaussian import InputState
+from su12sim.interferometer import InterferometerConfig
 from su12sim.optimizer import (
     AllDivergentError,
     WeightSearchSpec,
@@ -33,6 +37,38 @@ def test_vacuum_optimum_sits_in_the_valley():
     assert np.isclose(res.weights.vacuum_invariant(), 1 / 3, atol=1e-9)
     assert res.limit.status == "ok"
     assert res.evaluations > 1000
+
+
+def test_search_propagates_once_per_configuration(monkeypatch):
+    """The weight search evaluates every candidate on one set of moments."""
+    propagations = []
+    propagate = sensitivity.propagate
+
+    def counting(transform, state):
+        propagations.append(state)
+        return propagate(transform, state)
+
+    monkeypatch.setattr(sensitivity, "propagate", counting)
+    res = optimize_weights(VAC, 3.0, 3.0, WeightSearchSpec(rounds=3))
+    assert res.evaluations == 3745
+    # one for the search and its report, three for the limit's ladder rungs
+    assert len(propagations) == 1 + 3
+
+
+def test_weight_surface_matches_per_cell_sensitivity():
+    axis = np.linspace(-1.5, 1.5, 7)  # contains the signal-free (1, -1, -1)
+    for state in (VAC, InputState.coherent(3, 1.5)):
+        rows = weight_surface(state, 2.0, 3.0, bounds=(-1.5, 1.5), points=7,
+                              epsilon=1e-3, phase_index=2)
+        cfg = InterferometerConfig.balanced(2.0, 3.0, phi2=1e-3)
+        expected = []
+        for t in axis:
+            for r in axis:
+                d = sensitivity.phase_sensitivity(
+                    cfg, state, (1.0, float(t), float(r)), 2).delta_phi
+                expected.append((float(t), float(r), d if math.isfinite(d) else math.nan))
+        assert np.array_equal(rows, expected, equal_nan=True)
+        assert math.isnan(rows[7 + 1][2])  # (t, r) = (-1, -1)
 
 
 def test_more_rounds_shrink_the_step():
