@@ -147,6 +147,7 @@ def _state_from(params):
 # ---------------------------------------------------------------------------
 
 _LIE_DEFAULTS = {"trials": 10000, "seed": 7, "tol": 1e-9}
+_LIE_STACK = 500
 
 
 def cmd_lie_verify(params, outdir, timestamp):
@@ -154,30 +155,20 @@ def cmd_lie_verify(params, outdir, timestamp):
 
     rng = np.random.default_rng(params["seed"])
     worst = 0.0
-    for _ in range(params["trials"]):
-        S = lie.random_element(rng)
-        worst = max(worst, lie.membership_defect(S))
+    # stacks of at most _LIE_STACK elements keep the sweep's memory flat; the
+    # elements are drawn in sequence, so they do not depend on the split
+    for start in range(0, params["trials"], _LIE_STACK):
+        stack = lie.random_elements(rng, min(_LIE_STACK, params["trials"] - start))
+        worst = max(worst, float(np.max(lie.membership_defect(stack))))
     checks.append((f"membership {params['trials']} random products "
                    f"(worst defect {worst:.2e})", worst <= params["tol"]))
 
     # one global sign must reconcile every tabulated bracket with the
     # commutators of the matrix generators (via K -> i g)
-    mu = {i: 1j * lie.GENERATORS[i] for i in range(1, 9)}
-    sign = None
-    all_ok = True
-    for (i, j), face in sorted(lie.BRACKET_TABLE.items()):
-        comm = mu[i] @ mu[j] - mu[j] @ mu[i]
-        face_sum = sum((c * mu[k] for c, k in face), np.zeros((3, 3), dtype=complex))
-        if sign is None and np.max(np.abs(face_sum)) > 1e-12:
-            plus = np.max(np.abs(comm - face_sum))
-            minus = np.max(np.abs(comm + face_sum))
-            sign = 1.0 if plus < minus else -1.0
-        s = sign if sign is not None else 1.0
-        dev = float(np.max(np.abs(comm - s * face_sum)))
-        ok = dev <= 1e-12
-        all_ok = all_ok and ok
-        checks.append((f"bracket ({i},{j}) dev {dev:.1e}", ok))
-    sign = sign if sign is not None else 1.0
+    sign, devs = lie.bracket_table_sign()
+    for (i, j), dev in devs.items():
+        checks.append((f"bracket ({i},{j}) dev {dev:.1e}", dev <= 1e-12))
+    all_ok = all(dev <= 1e-12 for dev in devs.values())
     checks.append((f"single global table sign ({'+1' if sign > 0 else '-1'})", all_ok))
 
     dev = float(np.max(np.abs(lie.ad_matrix(1) - lie.AD_K1_REFERENCE)))

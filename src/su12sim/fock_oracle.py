@@ -2,9 +2,16 @@
 
 States live on a three-mode photon-number grid with a per-mode cutoff
 D (occupations 0..D-1, vectors of length D^3, C-order with mode 1
-slowest).  Four-wave-mixer gates are built from the same Hermitian
-generators as the matrix picture and applied with a sparse Krylov
-exponential; the phase stage is diagonal.
+slowest).  Four-wave-mixer gates are exponentials of the same Hermitian
+generators as the matrix picture.  Every mixer generator is a mode-1
+number rotation of the one real two-mode operator K1 (sin(theta) K1 -
+cos(theta) K2 = R K1 R^dag with R = exp(-i chi n1), chi = theta - pi/2,
+and likewise K3, K4 on modes 1 and 3), so K1 is diagonalised once per
+cutoff and each gate is a phase, a real d^2 x d^2 basis change, a
+diagonal phase and the way back, applied to the state viewed as a
+(d, d, d) tensor -- the two-mode-gate tensor approach of Killoran et
+al., Strawberry Fields, Quantum 3, 129 (2019).  The phase stage is
+diagonal.
 
 Truncation bookkeeping needs care.  A gate generated by a truncated
 Hermitian operator is *exactly* unitary on the truncated grid, so the
@@ -27,13 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from .gaussian import InputState, photon_statistics, propagate
 from .interferometer import InterferometerConfig
-
-SQRT3 = np.sqrt(3.0)
+from .lie import SQRT3
 
 
 class LeakageExceeded(RuntimeError):
@@ -124,13 +129,10 @@ class TruncatedFockSpace:
             raise ValueError("cutoff must be at least 2")
         self.cutoff = cutoff
         d = cutoff
-        A1, A2, A3 = _mode_operators(d)
-        self._K = {
-            1: 0.5 * (A1.conj().T @ A2.conj().T + A1 @ A2),
-            2: -0.5j * (A1.conj().T @ A2.conj().T - A1 @ A2),
-            3: 0.5 * (A1.conj().T @ A3.conj().T + A1 @ A3),
-            4: -0.5j * (A1.conj().T @ A3.conj().T - A1 @ A3),
-        }
+        # two-mode K1 = (a a + a^dag a^dag)/2 on the (d*d)-point grid of one
+        # mode pair, real symmetric: K1 = V diag(lam) V^T
+        aa = sp.kron(_ladder(d), _ladder(d), format="csr")
+        self._lam, self._V = np.linalg.eigh((0.5 * (aa + aa.T)).toarray())
         self._n1, self._n2, self._n3 = _occupation_arrays(d)
         top = cutoff - 1
         self._boundary = (
@@ -165,15 +167,29 @@ class TruncatedFockSpace:
         pair-creation generators is fixed by calibration against
         fwm_matrix: conjugating the mode operators through this gate
         reproduces the 3x3 coefficients.
+
+        The generator is R K1 R^dag with R = exp(-i chi n1), chi = theta -
+        pi/2 (K3, K4 and modes 1, 3 for pair "13"), so the gate is
+        R V exp(-i beta lam) V^T R^dag with the eigenbasis of K1 computed
+        at construction.  It acts on psi as a (d, d, d) tensor whose
+        first two axes are the gate's mode pair; the real basis changes
+        multiply the float64 view of the complex block.
         """
-        if pair == "12":
-            Ka, Kb = self._K[1], self._K[2]
-        elif pair == "13":
-            Ka, Kb = self._K[3], self._K[4]
-        else:
+        if pair not in ("12", "13"):
             raise ValueError(f"pair must be '12' or '13', got {pair!r}")
-        H = np.sin(theta) * Ka - np.cos(theta) * Kb
-        return expm_multiply(-1j * beta * H.tocsc(), psi)
+        d = self.cutoff
+        block = psi.reshape(d, d, d)
+        if pair == "13":
+            block = block.swapaxes(1, 2)
+        r_dag = np.exp(1j * (theta - 0.5 * np.pi) * np.arange(d))[:, None, None]
+        x = np.ascontiguousarray(block * r_dag).reshape(d * d, d)
+        x = (self._V.T @ x.view(float)).view(complex)
+        x *= np.exp(-1j * beta * self._lam)[:, None]
+        x = (self._V @ x.view(float)).view(complex)
+        out = x.reshape(d, d, d) * r_dag.conj()
+        if pair == "13":
+            out = out.swapaxes(1, 2)
+        return out.reshape(d ** 3)
 
     def apply_phases(self, psi, phi1, phi2, phi3):
         arg = phi1 * self._n1 + phi2 * self._n2 + phi3 * self._n3

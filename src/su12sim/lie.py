@@ -82,28 +82,42 @@ def group_element(i, alpha):
 
     The amplifier elements (i = 1..4) are hyperbolic in alpha/2, the
     beam-splitter elements (i = 5, 6) trigonometric, and the phase
-    elements (i = 7, 8) diagonal unit-modulus.
+    elements (i = 7, 8) diagonal unit-modulus.  An array alpha gives the
+    stack of elements, shape alpha.shape + (3, 3).
     """
+    alpha = np.asarray(alpha, dtype=float)
     c, s = np.cosh(alpha / 2.0), np.sinh(alpha / 2.0)
     cc, ss = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
+    g = np.zeros(alpha.shape + (3, 3), dtype=complex)
     if i == 1:
-        return np.array([[c, -1j * s, 0], [1j * s, c, 0], [0, 0, 1]], dtype=complex)
-    if i == 2:
-        return np.array([[c, -s, 0], [-s, c, 0], [0, 0, 1]], dtype=complex)
-    if i == 3:
-        return np.array([[c, 0, -1j * s], [0, 1, 0], [1j * s, 0, c]], dtype=complex)
-    if i == 4:
-        return np.array([[c, 0, -s], [0, 1, 0], [-s, 0, c]], dtype=complex)
-    if i == 5:
-        return np.array([[1, 0, 0], [0, cc, -1j * ss], [0, -1j * ss, cc]], dtype=complex)
-    if i == 6:
-        return np.array([[1, 0, 0], [0, cc, -ss], [0, ss, cc]], dtype=complex)
-    if i == 7:
-        return np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha), 1.0 + 0j])
-    if i == 8:
+        g[..., 0, 0] = g[..., 1, 1] = c
+        g[..., 0, 1], g[..., 1, 0], g[..., 2, 2] = -1j * s, 1j * s, 1.0
+    elif i == 2:
+        g[..., 0, 0] = g[..., 1, 1] = c
+        g[..., 0, 1], g[..., 1, 0], g[..., 2, 2] = -s, -s, 1.0
+    elif i == 3:
+        g[..., 0, 0] = g[..., 2, 2] = c
+        g[..., 0, 2], g[..., 2, 0], g[..., 1, 1] = -1j * s, 1j * s, 1.0
+    elif i == 4:
+        g[..., 0, 0] = g[..., 2, 2] = c
+        g[..., 0, 2], g[..., 2, 0], g[..., 1, 1] = -s, -s, 1.0
+    elif i == 5:
+        g[..., 1, 1] = g[..., 2, 2] = cc
+        g[..., 1, 2], g[..., 2, 1], g[..., 0, 0] = -1j * ss, -1j * ss, 1.0
+    elif i == 6:
+        g[..., 1, 1] = g[..., 2, 2] = cc
+        g[..., 1, 2], g[..., 2, 1], g[..., 0, 0] = -ss, ss, 1.0
+    elif i == 7:
+        g[..., 0, 0] = np.exp(-0.5j * alpha)
+        g[..., 1, 1] = np.exp(0.5j * alpha)
+        g[..., 2, 2] = 1.0
+    elif i == 8:
         r = alpha / (2.0 * SQRT3)
-        return np.diag([np.exp(-1j * r), np.exp(-1j * r), np.exp(2j * r)])
-    raise ValueError(f"generator index must be 1..8, got {i}")
+        g[..., 0, 0] = g[..., 1, 1] = np.exp(-1j * r)
+        g[..., 2, 2] = np.exp(2j * r)
+    else:
+        raise ValueError(f"generator index must be 1..8, got {i}")
+    return g
 
 
 def exp_generator(i, alpha):
@@ -187,9 +201,14 @@ AD_K1_REFERENCE[6, 1] = -1j
 
 
 def membership_defect(S):
-    """Max-abs deviation of J S^dag J S from the identity."""
+    """Max-abs deviation of J S^dag J S from the identity.
+
+    A stack of shape (..., 3, 3) gives one defect per matrix.
+    """
     S = np.asarray(S, dtype=complex)
-    return float(np.max(np.abs(METRIC @ S.conj().T @ METRIC @ S - np.eye(3))))
+    dev = np.abs(METRIC @ S.conj().swapaxes(-1, -2) @ METRIC @ S - np.eye(3))
+    defect = np.max(dev, axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def is_pseudo_unitary(S, tol=1e-9):
@@ -197,15 +216,53 @@ def is_pseudo_unitary(S, tol=1e-9):
     return membership_defect(S) <= tol
 
 
-def random_element(rng, factors=6, scale=0.8):
-    """Random group member: a product of single-generator closed forms.
+def random_elements(rng, n, factors=6, scale=0.8):
+    """n random group members, shape (n, 3, 3): products of closed forms.
 
+    Each element draws its generator indices and then its parameters
+    from rng, so the stack equals n successive random_element calls.
     Products of exact one-parameter elements are exact members, so the
-    result fails membership checks only through rounding.
+    results fail membership checks only through rounding.
     """
-    S = np.eye(3, dtype=complex)
-    idx = rng.integers(1, 9, size=factors)
-    amp = rng.uniform(-scale, scale, size=factors)
-    for i, a in zip(idx, amp):
-        S = group_element(int(i), float(a)) @ S
+    idx = np.empty((n, factors), dtype=int)
+    amp = np.empty((n, factors))
+    for row in range(n):
+        idx[row] = rng.integers(1, 9, size=factors)
+        amp[row] = rng.uniform(-scale, scale, size=factors)
+    G = np.empty((n, factors, 3, 3), dtype=complex)
+    for i in np.unique(idx):
+        pick = idx == i
+        G[pick] = group_element(int(i), amp[pick])
+    S = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
+    for f in range(factors):
+        S = G[:, f] @ S
     return S
+
+
+def random_element(rng, factors=6, scale=0.8):
+    """One random group member; see random_elements."""
+    return random_elements(rng, 1, factors, scale)[0]
+
+
+def bracket_table_sign():
+    """Reconcile BRACKET_TABLE with the commutators of the matrix generators.
+
+    Under K -> i g every tabulated combination must equal the matrix
+    commutator [i g_i, i g_j] up to one sign shared by all pairs.  The
+    first non-vanishing entry fixes that sign (the one leaving the
+    smaller residual); +1 if every entry vanishes.  Returns the sign and
+    {(i, j): max-abs residual} over the tabulated pairs in sorted order.
+    """
+    mu = {i: 1j * GENERATORS[i] for i in range(1, 9)}
+    sign = None
+    devs = {}
+    for (i, j), face in sorted(BRACKET_TABLE.items()):
+        comm = mu[i] @ mu[j] - mu[j] @ mu[i]
+        face_sum = sum((c * mu[k] for c, k in face), np.zeros((3, 3), dtype=complex))
+        if sign is None and np.max(np.abs(face_sum)) > 1e-12:
+            plus = np.max(np.abs(comm - face_sum))
+            minus = np.max(np.abs(comm + face_sum))
+            sign = 1.0 if plus < minus else -1.0
+        s = sign if sign is not None else 1.0
+        devs[(i, j)] = float(np.max(np.abs(comm - s * face_sum)))
+    return (sign if sign is not None else 1.0), devs

@@ -19,11 +19,10 @@ from su12sim.gaussian import InputState, photon_statistics, propagate
 from su12sim.interferometer import InterferometerConfig
 from su12sim.lie import (
     AD_K1_REFERENCE,
-    GENERATORS,
     ad_matrix,
-    bracket_coefficients,
+    bracket_table_sign,
     membership_defect,
-    random_element,
+    random_elements,
 )
 from su12sim.optimizer import WeightSearchSpec, optimize_weights, optimal_ratio_surface, scaling_curve
 from su12sim.sensitivity import (
@@ -50,30 +49,17 @@ def _verdict(name, ok, detail):
 def test_criterion_1_group_structure():
     t0 = time.time()
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(10_000):
-        worst = max(worst, membership_defect(random_element(rng)))
-
-    K = {i: 1j * GENERATORS[i] for i in range(1, 9)}
-    sign, worst_brk = None, 0.0
-    for i in range(1, 9):
-        for j in range(i + 1, 9):
-            direct = K[i] @ K[j] - K[j] @ K[i]
-            table = np.zeros((3, 3), dtype=complex)
-            for c, k in bracket_coefficients(i, j):
-                table += c * K[k]
-            if sign is None and np.max(np.abs(table)) > 1e-12:
-                mask = np.abs(table) > 1e-12
-                sign = float(np.real((direct[mask] / table[mask])[0]))
-            worst_brk = max(worst_brk, np.max(np.abs(direct - sign * table)))
+    worst = float(np.max(membership_defect(random_elements(rng, 10_000))))
+    sign, devs = bracket_table_sign()
+    worst_brk = max(devs.values())
 
     ad_dev = np.max(np.abs(ad_matrix(1) - AD_K1_REFERENCE))
     dt = time.time() - t0
     ok, line = _verdict(
         "group structure",
         worst < 1e-9 and worst_brk < 1e-12 and ad_dev < 1e-14 and dt < 10,
-        f"1e4 membership defects <= {worst:.2e}; 28 brackets match with "
-        f"global sign {sign:+.0f} to {worst_brk:.2e}; adjoint reference "
+        f"1e4 membership defects <= {worst:.2e}; 28 brackets match the "
+        f"table with global sign {sign:+.0f} to {worst_brk:.2e}; adjoint reference "
         f"deviation {ad_dev:.2e}; {dt:.1f}s",
     )
     assert ok, line

@@ -5,6 +5,7 @@ Gaussian pipeline."""
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from su12sim.fock_oracle import (
     FockStateVector,
@@ -76,6 +77,44 @@ def test_single_gate_two_mode_squeezed_amplitudes():
         FockStateVector(12, psi, 0.0, (0.0,))
     )
     assert np.isclose(mean[0], np.sinh(r) ** 2, atol=1e-10)
+
+
+def _random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=d ** 3) + 1j * rng.normal(size=d ** 3)
+    return psi / np.linalg.norm(psi)
+
+
+GATE_GENERATORS = {"12": (1, 2), "13": (3, 4)}
+
+
+@pytest.mark.parametrize("pair", ["12", "13"])
+def test_gate_equals_dense_exponential(pair):
+    """The eigenbasis gate is exp(-i beta (sin(theta) K_a - cos(theta) K_b))
+    of the same truncated generators, on a random state at cutoff 6."""
+    d = 6
+    space = TruncatedFockSpace(d)
+    psi = _random_state(d, 1)
+    Ka, Kb = (k_operator(i, d).toarray() for i in GATE_GENERATORS[pair])
+    for theta in (0.0, np.pi / 2, 2.3):
+        for beta in (0.1, 0.5):
+            H = np.sin(theta) * Ka - np.cos(theta) * Kb
+            expected = expm(-1j * beta * H) @ psi
+            got = space.apply_fwm(psi, beta, theta, pair)
+            assert np.max(np.abs(got - expected)) <= 1e-13, (theta, beta)
+
+
+@pytest.mark.parametrize("pair", ["12", "13"])
+def test_gate_matches_krylov_exponential_at_cutoff_14(pair):
+    d = 14
+    space = TruncatedFockSpace(d)
+    psi = _random_state(d, 2)
+    Ka, Kb = (k_operator(i, d) for i in GATE_GENERATORS[pair])
+    beta, theta = 0.45, 1.3
+    H = np.sin(theta) * Ka - np.cos(theta) * Kb
+    expected = expm_multiply(-1j * beta * H.tocsc(), psi)
+    got = space.apply_fwm(psi, beta, theta, pair)
+    assert np.max(np.abs(got - expected)) <= 1e-14
 
 
 def test_gate_heisenberg_action():
@@ -166,6 +205,14 @@ def test_fock_derivative_matches_analytic():
 
 def test_agreement_suite_small():
     worst = compare_with_gaussian(trials=8)
+    for key in ("mean", "cov", "var", "deriv"):
+        assert worst[key] < 1e-6, (key, worst)
+    assert worst["leakage"] < 1e-8
+
+
+def test_agreement_suite_at_cutoff_30():
+    """A larger grid carries the agreement to gains of 0.8 inside the guard."""
+    worst = compare_with_gaussian(trials=10, cutoff=30, beta_max=0.8)
     for key in ("mean", "cov", "var", "deriv"):
         assert worst[key] < 1e-6, (key, worst)
     assert worst["leakage"] < 1e-8

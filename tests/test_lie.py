@@ -7,14 +7,17 @@ from su12sim.lie import (
     METRIC,
     GENERATORS,
     AD_K1_REFERENCE,
+    BRACKET_TABLE,
     ad_matrix,
     bracket_coefficients,
+    bracket_table_sign,
     exp_generator,
     generator,
     group_element,
     is_pseudo_unitary,
     membership_defect,
     random_element,
+    random_elements,
 )
 
 
@@ -58,6 +61,42 @@ def test_random_products_stay_in_group():
     assert worst < 1e-9
 
 
+def test_random_elements_equal_successive_draws():
+    """The stack equals successive single draws, and each element is the
+    left-accumulated product of its factors, indices drawn before gains."""
+    stacked = random_elements(np.random.default_rng(19), 500)
+    rng = np.random.default_rng(19)
+    assert np.array_equal(stacked, np.array([random_element(rng) for _ in range(500)]))
+    rng = np.random.default_rng(19)
+    for S in stacked[:20]:
+        idx = rng.integers(1, 9, size=6)
+        amp = rng.uniform(-0.8, 0.8, size=6)
+        product = np.eye(3, dtype=complex)
+        for i, a in zip(idx, amp):
+            product = group_element(int(i), float(a)) @ product
+        assert np.array_equal(S, product)
+
+
+def test_membership_defect_on_stacks():
+    stack = random_elements(np.random.default_rng(3), 40)
+    stack[7] *= 1.01  # one non-member in the stack
+    defects = membership_defect(stack)
+    assert defects.shape == (40,)
+    assert np.array_equal(defects, [membership_defect(S) for S in stack])
+    assert defects[7] > 1e-3 and np.delete(defects, 7).max() < 1e-12
+    grid = membership_defect(stack.reshape(4, 10, 3, 3))
+    assert np.array_equal(grid, defects.reshape(4, 10))
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_group_element_broadcasts_bitwise(i):
+    alphas = np.random.default_rng(i).uniform(-2.0, 2.0, size=(4, 5))
+    stack = group_element(i, alphas)
+    assert stack.shape == (4, 5, 3, 3)
+    scalar = np.array([[group_element(i, float(a)) for a in row] for row in alphas])
+    assert np.array_equal(stack.view(np.uint64), scalar.view(np.uint64))
+
+
 def test_membership_defect_flags_non_members():
     assert membership_defect(np.diag([1.1, 1.0, 1.0])) > 1e-3
     assert not is_pseudo_unitary(2.0 * np.eye(3))
@@ -74,23 +113,16 @@ def test_inverse_from_metric():
 
 def test_bracket_table_single_global_sign():
     """Matrix commutators reproduce the tabulated coefficients up to one
-    overall sign shared by every pair."""
+    overall sign shared by every pair; the table lists [K_j, K_i], so the
+    sign is -1, and the pairs the table leaves empty commute."""
+    sign, devs = bracket_table_sign()
+    assert sign == -1.0
+    assert sorted(devs) == sorted(BRACKET_TABLE) and len(devs) == 28
+    assert max(devs.values()) <= 1e-12
     K = {i: 1j * GENERATORS[i] for i in range(1, 9)}
-    sign = None
-    for i in range(1, 9):
-        for j in range(i + 1, 9):
-            direct = K[i] @ K[j] - K[j] @ K[i]
-            table = sum(c * K[k] for c, k in bracket_coefficients(i, j))
-            if isinstance(table, int):  # vanishing bracket
-                assert np.allclose(direct, 0.0, atol=1e-14), (i, j)
-                continue
-            if sign is None:
-                scale = np.max(np.abs(table))
-                if scale > 1e-12:
-                    ratios = direct[np.abs(table) > 1e-12] / table[np.abs(table) > 1e-12]
-                    sign = np.real(ratios[0])
-            assert np.allclose(direct, sign * table, atol=1e-12), (i, j)
-    assert sign is not None and abs(abs(sign) - 1.0) < 1e-12
+    for (i, j), face in BRACKET_TABLE.items():
+        if not face:
+            assert np.allclose(K[i] @ K[j] - K[j] @ K[i], 0.0, atol=1e-14), (i, j)
 
 
 def test_adjoint_k1_matches_reference():
