@@ -30,7 +30,6 @@ import numpy as np
 from . import lie
 from .fock_oracle import LeakageExceeded, compare_with_gaussian, vacuum_k_variance
 from .gaussian import InputState
-from .interferometer import InterferometerConfig
 from .optimizer import (
     AllDivergentError,
     WeightSearchSpec,
@@ -74,6 +73,11 @@ def _parse_config_file(path):
     return raw
 
 
+# ranges of the integer parameters, checked in every subcommand that has them
+_RANGES = {"trials": (1, math.inf), "port": (0, 3), "phase_index": (1, 3),
+           "fixed_zero": (0, 3)}
+
+
 def _resolve_params(defaults, config_path, sets):
     raw = {}
     if config_path:
@@ -97,6 +101,9 @@ def _resolve_params(defaults, config_path, sets):
                 params[k] = v
         except ValueError:
             raise UsageError(f"parameter {k!r}: cannot parse {v!r}")
+    for k, (lo, hi) in _RANGES.items():
+        if k in params and not lo <= params[k] <= hi:
+            raise UsageError(f"{k} = {params[k]} is outside [{lo}, {hi}]")
     return params
 
 
@@ -137,8 +144,6 @@ def _state_from(params):
     port = params.get("port", 0)
     if port == 0:
         return InputState.vacuum()
-    if port not in (1, 2, 3):
-        raise UsageError(f"port must be 0..3, got {port}")
     return InputState.coherent(port, params.get("alpha_abs", 0.0))
 
 
@@ -213,16 +218,15 @@ def cmd_sensitivity(params, outdir, timestamp):
     b1, b2 = params["beta1"], params["beta2"]
     res = zero_phase_limit(state, b1, b2, w, phase_index=params["phase_index"])
     status = "DIVERGENT" if res.is_divergent else "OK"
-    ntot = n_total(InterferometerConfig.balanced(b1, b2), state)
+    ntot = n_total((b1, b2), state)
 
     print(f"status        = {status}")
     print(f"delta_phi     = {_fmt(res.delta_phi)}")
-    print(f"residual      = {_fmt(res.residual)}")
-    print(f"ladder        = {', '.join(_fmt(v) for v in res.values)}")
+    print(f"orders        = {_fmt(res.orders)}")
     print(f"n_total       = {_fmt(ntot)}")
     summary = {"command": "sensitivity", **params,
                "status": status, "delta_phi": res.delta_phi,
-               "residual": res.residual, "n_total": ntot}
+               "orders": res.orders, "n_total": ntot}
     if params["port"] == 0:
         # closed-form reference points for the vacuum balanced cascade
         summary["bright_pair_closed_form"] = float(closed_form_limit(b1, b2))

@@ -45,33 +45,21 @@ class InputState:
         return np.array(self.alpha, dtype=complex)
 
 
-class BogoliubovTransform:
-    """Split of a mode matrix on (a1, a2^dag, a3^dag) into a_out = A a + B a^dag."""
+def from_mode_matrix(S):
+    """Blocks (A, B) of a_out = A a + B a^dag for mode matrices S (..., 3, 3).
 
-    def __init__(self, A, B):
-        self.A = np.asarray(A, dtype=complex)
-        self.B = np.asarray(B, dtype=complex)
-
-    @classmethod
-    def from_mode_matrix(cls, S):
-        S = np.asarray(S, dtype=complex)
-        A = np.zeros((3, 3), dtype=complex)
-        B = np.zeros((3, 3), dtype=complex)
-        # row 1 of S gives a1_out directly; rows 2 and 3 give the
-        # conjugate-mode creation operators, so those rows conjugate.
-        A[0, 0] = S[0, 0]
-        B[0, 1] = S[0, 1]
-        B[0, 2] = S[0, 2]
-        for r in (1, 2):
-            B[r, 0] = np.conj(S[r, 0])
-            A[r, 1] = np.conj(S[r, 1])
-            A[r, 2] = np.conj(S[r, 2])
-        return cls(A, B)
-
-    def unitarity_defect(self):
-        """Max-abs deviation of A A^dag - B B^dag from the identity."""
-        d = self.A @ self.A.conj().T - self.B @ self.B.conj().T - np.eye(3)
-        return float(np.max(np.abs(d)))
+    Row 1 of S gives a1_out directly; rows 2 and 3 give the conjugate-mode
+    creation operators, so those rows conjugate.  The split is R-linear,
+    so it commutes with derivatives and series in a real parameter.
+    """
+    S = np.asarray(S, dtype=complex)
+    conj = np.conj(S)
+    A, B = np.zeros((2, *S.shape), dtype=complex)
+    A[..., 0, 0] = S[..., 0, 0]
+    B[..., 0, 1:] = S[..., 0, 1:]
+    B[..., 1:, 0] = conj[..., 1:, 0]
+    A[..., 1:, 1:] = conj[..., 1:, 1:]
+    return A, B
 
 
 @dataclass(frozen=True)
@@ -90,11 +78,8 @@ def propagate(transform, state):
     total_matrix() method (e.g. InterferometerConfig).
     """
     if hasattr(transform, "total_matrix"):
-        S = transform.total_matrix()
-    else:
-        S = np.asarray(transform, dtype=complex)
-    bog = BogoliubovTransform.from_mode_matrix(S)
-    A, B = bog.A, bog.B
+        transform = transform.total_matrix()
+    A, B = from_mode_matrix(transform)
     alpha = state.alpha_vector
     mu = A @ alpha + B @ np.conj(alpha)
     N = np.einsum("ik,jk->ij", np.conj(B), B)

@@ -93,8 +93,8 @@ def optimize_weights(state, beta1, beta2, spec=None, phase_index=1):
     passes that halve the step and scan the 3^d neighborhood of the
     incumbent (clipped to the bounds), moving only on strict
     improvement.  The objective is dphi at offset spec.epsilon; the
-    returned result also carries the extrapolated zero-phase limit of
-    the winning weights as a consistency spot check.
+    returned result also carries the exact zero-phase limit of the
+    winning weights as a consistency spot check.
     """
     if spec is None:
         spec = WeightSearchSpec()

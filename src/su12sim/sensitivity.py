@@ -14,11 +14,10 @@ phase_sensitivity is the composition of the two.
 
 The quantity of interest is usually the limit of dphi_1 as the probe
 phase goes to zero, taken in the balanced configuration where the
-cascade is self-cancelling.
-Both the variance and the slope vanish there, so the limit is computed
-by evaluating at a ladder of small offsets and extrapolating; the
-dependence on the offset is quadratic, which makes a two-point
-Richardson step exact up to the next order.
+cascade is self-cancelling.  Both the variance and the slope vanish
+there, and zero_phase_limit takes the limit exactly from the leading
+terms of their power series in the probe offset (Taylor arithmetic;
+Griewank & Walther, Evaluating Derivatives, SIAM 2008, ch. 13).
 
 Some weight choices carry no signal at all.  The combination
 proportional to (1, -1, -1) measures the conserved photon-number
@@ -39,17 +38,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    BogoliubovTransform,
     InputState,
     estimator_stats,
+    from_mode_matrix,
     photon_statistics,
     propagate,
 )
 from .interferometer import InterferometerConfig, chronological_product
 
 
+# a quantity within this fraction of its cancellation-free magnitude is zero
+NO_SIGNAL_RTOL = 1e-12
+# zero-phase series: the variance through eps^2, the slope through eps^1
+SERIES_ORDER = 2
+_ORDERS = np.arange(SERIES_ORDER + 1)
+# _CAUCHY[a, b, k] = [a + b == k]: contracting with it multiplies series
+_CAUCHY = (np.add.outer(_ORDERS, _ORDERS)[:, :, None] == _ORDERS).astype(float)
+
+
 class NonConvergentLimitError(RuntimeError):
-    """Zero-phase ladder neither converges nor diverges cleanly."""
+    """Zero-phase series neither has a finite limit nor diverges."""
 
 
 @dataclass(frozen=True)
@@ -96,18 +104,11 @@ def _as_weight_array(weights):
     return np.asarray(weights, dtype=float)
 
 
-def _phase_stage_derivative(phi1, phi2, phi3, phase_index):
-    """Entrywise derivative of the phase stage with respect to one phase."""
-    d = np.zeros((3, 3), dtype=complex)
-    if phase_index == 1:
-        d[0, 0] = 1j * np.exp(1j * phi1)
-    elif phase_index == 2:
-        d[1, 1] = -1j * np.exp(-1j * phi2)
-    elif phase_index == 3:
-        d[2, 2] = -1j * np.exp(-1j * phi3)
-    else:
+def _probe_slot(phase_index):
+    """Index j of the probed phase-stage entry and its rate (dP_jj/dphi) / P_jj."""
+    if phase_index not in (1, 2, 3):
         raise ValueError(f"phase index must be 1..3, got {phase_index}")
-    return d
+    return phase_index - 1, (1j if phase_index == 1 else -1j)
 
 
 def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-5,
@@ -116,11 +117,12 @@ def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-
 
     mats are the configuration's stage matrices, if already built.
     """
+    j, rate = _probe_slot(phase_index)
     if method == "numeric":
         phis = [config.phi1, config.phi2, config.phi3]
         up, dn = list(phis), list(phis)
-        up[phase_index - 1] += h
-        dn[phase_index - 1] -= h
+        up[j] += h
+        dn[j] -= h
         mp, _ = photon_statistics(propagate(config.with_phases(*up), state))
         mm, _ = photon_statistics(propagate(config.with_phases(*dn), state))
         return (mp - mm) / (2.0 * h)
@@ -131,18 +133,16 @@ def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-
     # left-associated, unlike total_matrix: each product keeps its own
     # order because the last bits of every reported value depend on it
     S = S4 @ S3 @ P @ S2 @ S1
-    dP = _phase_stage_derivative(config.phi1, config.phi2, config.phi3, phase_index)
+    dP = np.zeros((3, 3), dtype=complex)
+    dP[j, j] = rate * P[j, j]
     dS = S4 @ S3 @ dP @ S2 @ S1
 
-    # the block split is R-linear in the matrix entries, so it commutes
-    # with differentiation in a real parameter
-    bog = BogoliubovTransform.from_mode_matrix(S)
-    dbog = BogoliubovTransform.from_mode_matrix(dS)
+    (A, dA), (B, dB) = from_mode_matrix(np.stack([S, dS]))
     alpha = state.alpha_vector
-    mu = bog.A @ alpha + bog.B @ np.conj(alpha)
-    dmu = dbog.A @ alpha + dbog.B @ np.conj(alpha)
+    mu = A @ alpha + B @ np.conj(alpha)
+    dmu = dA @ alpha + dB @ np.conj(alpha)
     # <n_i> = sum_k |B_ik|^2 + |mu_i|^2
-    dmean = 2.0 * np.sum(np.real(np.conj(bog.B) * dbog.B), axis=1)
+    dmean = 2.0 * np.sum(np.real(np.conj(B) * dB), axis=1)
     dmean += 2.0 * np.real(np.conj(mu) * dmu)
     return dmean
 
@@ -193,11 +193,11 @@ def sensitivity_from_moments(moments, weights):
     w = _as_weight_array(weights)
     mean, var = estimator_stats(mean_vec, cov, w)
     gross_var = float(np.abs(w) @ np.abs(cov) @ np.abs(w))
-    if abs(var) <= 1e-12 * gross_var:
+    if abs(var) <= NO_SIGNAL_RTOL * gross_var:
         var = 0.0
     d = float(w @ dmean)
     gross_d = float(np.abs(w) @ np.abs(dmean))
-    if abs(d) <= 1e-12 * gross_d:
+    if abs(d) <= NO_SIGNAL_RTOL * gross_d:
         d = 0.0
     if d == 0.0 or not math.isfinite(d):
         dp = math.inf
@@ -224,68 +224,77 @@ def phase_sensitivity(config, state, weights, phase_index=1,
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Extrapolated zero-phase sensitivity and the ladder it came from."""
+    """Zero-phase sensitivity and the leading orders (p, q) of the variance
+    and slope series that decide it; orders is None when there is no signal."""
 
     delta_phi: float
     status: str  # "ok" or "divergent"
-    residual: float
-    values: tuple
-    epsilons: tuple
+    orders: tuple | None
 
     @property
     def is_divergent(self):
         return self.status == "divergent"
 
 
-def zero_phase_limit(state, beta1, beta2, weights, phase_index=1,
-                     epsilons=(1e-2, 1e-3, 1e-4), derivative="analytic"):
-    """Zero-phase sensitivity of the balanced cascade by extrapolation.
+def _limit_series(state, beta1, beta2, w, phase_index):
+    """Series (V, D) of Var O and d<O>/dphi_j in the probe offset eps.
 
-    Evaluates dphi at probe offsets eps (largest first), checks that the
-    ladder contracts like eps^2, and Richardson-extrapolates the last
-    pair; the residual is the spread between the two overlapping
-    extrapolations.  A ladder that grows as eps shrinks, or contains
-    non-finite entries, yields status "divergent" with delta_phi = inf.
-    Anything else raises NonConvergentLimitError.
+    S(eps) = I + (exp(rate eps) - 1) L[:, j] R[j] exactly, L and R the
+    halves around the phase stage.  Row 1 of V and D repeats row 0's
+    computation on the moduli of all inputs: a cancellation-free bound.
     """
-    if len(epsilons) != 3:
-        raise ValueError("need exactly three ladder offsets")
-    vals = []
-    for eps in epsilons:
-        phis = [0.0, 0.0, 0.0]
-        phis[phase_index - 1] = eps
-        cfg = InterferometerConfig.balanced(beta1, beta2, *phis)
-        rep = phase_sensitivity(cfg, state, weights, phase_index,
-                                derivative=derivative)
-        vals.append(rep.delta_phi)
-    vals = tuple(vals)
-    if not all(math.isfinite(v) for v in vals):
-        return LimitResult(math.inf, "divergent", math.nan, vals, tuple(epsilons))
+    S1, S2, _, S3, S4 = InterferometerConfig.balanced(beta1, beta2).stage_matrices()
+    j, rate = _probe_slot(phase_index)
+    S = np.zeros((2, SERIES_ORDER + 1, 3, 3), dtype=complex)
+    S[:, 0] = np.eye(3)
+    S[0, 1:] = np.multiply.outer(np.cumprod(rate / _ORDERS[1:]),
+                                 np.outer((S4 @ S3)[:, j], (S2 @ S1)[j]))
+    S[1, 1:] = np.abs(S[0, 1:])
+    alpha = np.stack([state.alpha_vector, np.abs(state.alpha_vector)])
+    w = np.stack([w, np.abs(w)])
 
-    v1, v2, v3 = vals
-    d21, d32 = abs(v2 - v1), abs(v3 - v2)
-    scale = max(abs(v) for v in vals)
-    # ratio of successive offsets, squared: the contraction factor an
-    # eps^2 error term must show between ladder rungs
-    contraction = (epsilons[1] / epsilons[0]) ** 2
-    if d32 <= 1e-9 * scale and d21 <= 1e-9 * scale:
-        return LimitResult(v3, "ok", d32, vals, tuple(epsilons))
-    if d32 <= 0.5 * d21:
-        gain = 1.0 / (1.0 / contraction - 1.0)
-        extrap32 = v3 - (v2 - v3) * gain
-        extrap21 = v2 - (v1 - v2) * gain
-        if extrap32 > 0.0:
-            return LimitResult(extrap32, "ok", abs(extrap32 - extrap21), vals,
-                               tuple(epsilons))
-    # growth at the finest rung is decisive: near a crossover the coarse
-    # rung can still be shrinking while the small-offset blow-up has
-    # already taken over
-    if v3 > 2.0 * v2 or v3 > v2 > v1:
-        return LimitResult(math.inf, "divergent", math.nan, vals, tuple(epsilons))
-    raise NonConvergentLimitError(
-        f"sensitivity ladder {vals} at offsets {tuple(epsilons)} neither "
-        "contracts nor grows monotonically"
-    )
+    # propagate and photon_statistics on series
+    A, B = from_mode_matrix(S)
+    mu = np.einsum("xkil,xl->xki", A, alpha) + np.einsum("xkil,xl->xki", B, np.conj(alpha))
+    N = np.einsum("abk,xail,xbjl->xkij", _CAUCHY, np.conj(B), B)
+    M = np.einsum("abk,xail,xbjl->xkij", _CAUCHY, A, B)
+    mu_mu = np.einsum("abk,xai,xbj->xkij", _CAUCHY, np.conj(mu), mu)
+    mean = np.real(np.diagonal(N + mu_mu, axis1=-2, axis2=-1))
+    mu_mu_conj = np.einsum("abk,xai,xbj->xkij", _CAUCHY, np.conj(mu), np.conj(mu))
+    cov = mean[..., None] * np.eye(3) + np.real(
+        np.einsum("abk,xaij,xbij->xkij", _CAUCHY, np.conj(N), N)
+        + np.einsum("abk,xaij,xbij->xkij", _CAUCHY, np.conj(M), M)
+        + 2.0 * np.einsum("abk,xaij,xbji->xkij", _CAUCHY, mu_mu, N)
+        + 2.0 * np.einsum("abk,xaij,xbij->xkij", _CAUCHY, mu_mu_conj, M))
+    V = np.einsum("xi,xkij,xj->xk", w, cov, w)
+    D = _ORDERS[1:] * np.einsum("xi,xki->xk", w, mean[:, 1:])
+    return V, D
+
+
+def _leading_order(series):
+    """First order whose coefficient is not rounding residue of its bound."""
+    value, bound = series
+    (orders,) = np.nonzero(np.abs(value) > NO_SIGNAL_RTOL * bound)
+    return int(orders[0]) if orders.size else None
+
+
+def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
+    """Exact zero-phase sensitivity of the balanced cascade.
+
+    Status "ok" with sqrt(V_p) / |D_q| when the leading orders satisfy
+    p = 2q; "divergent" with delta_phi = inf when p < 2q or the slope
+    series vanishes.  Anything else raises NonConvergentLimitError.
+    """
+    V, D = _limit_series(state, beta1, beta2, _as_weight_array(weights), phase_index)
+    p, q = _leading_order(V), _leading_order(D)
+    if q is None:
+        return LimitResult(math.inf, "divergent", None)
+    if p is not None and p < 2 * q:
+        return LimitResult(math.inf, "divergent", (p, q))
+    if p == 2 * q and V[0, p] > 0.0:
+        return LimitResult(float(math.sqrt(V[0, p]) / abs(D[0, q])), "ok", (p, q))
+    raise NonConvergentLimitError(f"variance and slope series with leading "
+                                  f"orders {(p, q)} have no finite nonzero limit")
 
 
 # ---------------------------------------------------------------------------

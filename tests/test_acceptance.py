@@ -80,7 +80,7 @@ def test_criterion_2_closed_form_limits():
     ok, line = _verdict(
         "closed-form limits",
         rel <= 1e-4 and within_asym <= 0.20 and abs(ratio5 - 1) <= 0.05 and dt < 1,
-        f"(1,1,0) extrapolates to {measured:.12f}, {rel:.1e} from the "
+        f"(1,1,0) has the limit {measured:.12f}, {rel:.1e} from the "
         f"bright-pair form {bright:.12f} (tolerance 1e-4); the "
         f"probe+second-idler detector (1,0,1) gives {second_idler:.12f}, "
         f"{abs(second_idler / bright - 1):.2e} away, and is not what the "

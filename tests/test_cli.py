@@ -27,7 +27,8 @@ def test_sensitivity_default_summary(tmp_path):
     assert rc == 0
     s = read_summary(tmp_path / "summary.txt")
     assert s["status"] == "OK"
-    assert np.isclose(float(s["delta_phi"]), 0.017391190011898743, rtol=1e-12)
+    assert np.isclose(float(s["delta_phi"]), 0.017391189997055346, rtol=1e-12)
+    assert s["orders"] == "(2, 1)"
     # matched balanced gains also report the closed-form companions
     assert "bright_pair_closed_form" in s
     assert "two_mode_benchmark" in s
@@ -42,6 +43,44 @@ def test_sensitivity_divergent_still_exit_zero(tmp_path):
     s = read_summary(tmp_path / "summary.txt")
     assert s["status"] == "DIVERGENT"
     assert s["delta_phi"] == "inf"
+
+
+def test_weak_bright_port_input_is_divergent_not_a_guard(tmp_path):
+    rc = main([
+        "sensitivity", "--set", "port=1", "--set", "alpha_abs=0.01",
+        "--set", "beta1=3.3", "--set", "beta2=3.3",
+        "--out", str(tmp_path), "--no-timestamp",
+    ])
+    assert rc == 0
+    s = read_summary(tmp_path / "summary.txt")
+    assert s["status"] == "DIVERGENT"
+    assert s["orders"] == "(0, 1)"
+
+
+@pytest.mark.parametrize("command", ["lie-verify", "oracle-check"])
+@pytest.mark.parametrize("trials", [0, -5])
+def test_no_trials_is_usage_error(tmp_path, capsys, command, trials):
+    rc = main([command, "--set", f"trials={trials}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "optimize"])
+@pytest.mark.parametrize("phase_index", [0, 4])
+def test_phase_index_out_of_range_is_usage_error(tmp_path, capsys, command,
+                                                 phase_index):
+    rc = main([command, "--set", f"phase_index={phase_index}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "phase_index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixed_zero", [-1, 4])
+def test_fixed_zero_out_of_range_is_usage_error(tmp_path, capsys, fixed_zero):
+    rc = main(["optimize", "--set", f"fixed_zero={fixed_zero}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "fixed_zero" in capsys.readouterr().err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

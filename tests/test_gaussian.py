@@ -5,9 +5,9 @@ import numpy as np
 
 from su12sim.fock_oracle import TruncatedFockSpace, photon_statistics_fock
 from su12sim.gaussian import (
-    BogoliubovTransform,
     InputState,
     estimator_stats,
+    from_mode_matrix,
     photon_statistics,
     propagate,
 )
@@ -47,29 +47,46 @@ def test_two_mode_squeezed_variance_and_covariance():
     assert np.isclose(cov[2, 2], 0.0, atol=1e-14)
 
 
+def _random_config(rng):
+    b = rng.uniform(0, 2, 4)
+    th = rng.uniform(0, 2 * np.pi, 4)
+    ph = rng.uniform(0, 2 * np.pi, 3)
+    return InterferometerConfig(
+        beta1=b[0], beta2=b[1], beta3=b[2], beta4=b[3],
+        theta1=th[0], theta2=th[1], theta3=th[2], theta4=th[3],
+        phi1=ph[0], phi2=ph[1], phi3=ph[2],
+    )
+
+
 def test_bogoliubov_blocks_from_mode_matrix():
     S = fwm_matrix(0.8, 0.3, "12")
-    t = BogoliubovTransform.from_mode_matrix(S)
+    A, B = from_mode_matrix(S)
     # row 0 transforms annihilators directly, rows 1..2 come conjugated
-    assert np.isclose(t.A[0, 0], S[0, 0])
-    assert np.isclose(t.B[0, 1], S[0, 1])
-    assert np.isclose(t.A[1, 1], np.conj(S[1, 1]))
-    assert np.isclose(t.B[1, 0], np.conj(S[1, 0]))
+    assert np.isclose(A[0, 0], S[0, 0])
+    assert np.isclose(B[0, 1], S[0, 1])
+    assert np.isclose(A[1, 1], np.conj(S[1, 1]))
+    assert np.isclose(B[1, 0], np.conj(S[1, 0]))
 
 
 def test_bogoliubov_commutator_preservation():
     rng = np.random.default_rng(17)
     for _ in range(25):
-        b = rng.uniform(0, 2, 4)
-        th = rng.uniform(0, 2 * np.pi, 4)
-        ph = rng.uniform(0, 2 * np.pi, 3)
-        cfg = InterferometerConfig(
-            beta1=b[0], beta2=b[1], beta3=b[2], beta4=b[3],
-            theta1=th[0], theta2=th[1], theta3=th[2], theta4=th[3],
-            phi1=ph[0], phi2=ph[1], phi3=ph[2],
-        )
-        t = BogoliubovTransform.from_mode_matrix(cfg.total_matrix())
-        assert t.unitarity_defect() < 1e-12
+        A, B = from_mode_matrix(_random_config(rng).total_matrix())
+        # a_out = A a + B a^dag keeps [a_i, a_j^dag] = delta_ij
+        defect = A @ A.conj().T - B @ B.conj().T - np.eye(3)
+        assert np.max(np.abs(defect)) < 1e-12
+
+
+def test_stacked_split_equals_per_matrix_split():
+    rng = np.random.default_rng(5)
+    mats = np.array([[_random_config(rng).total_matrix() for _ in range(3)]
+                     for _ in range(4)])
+    A, B = from_mode_matrix(mats)
+    assert A.shape == B.shape == (4, 3, 3, 3)
+    for idx in np.ndindex(4, 3):
+        a, b = from_mode_matrix(mats[idx])
+        assert np.array_equal(A[idx].view(np.uint64), a.view(np.uint64))
+        assert np.array_equal(B[idx].view(np.uint64), b.view(np.uint64))
 
 
 def test_phase_only_circuit_keeps_photon_numbers():

@@ -1,9 +1,12 @@
 """Phase-sensitivity chain: error propagation, zero-phase limits, closed forms.
 
 Reference numbers in this file were frozen from independent evaluations of
-the closed-form expressions and from Richardson-extrapolated ladders
-cross-checked against the truncated-Fock simulator at small gain.
+the closed-form expressions and of the cascade in 60-digit arithmetic at
+probe offset 1e-20, cross-checked against the truncated-Fock simulator at
+small gain.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ VAC = InputState.vacuum()
 
 # balanced beta1 = beta2 = 3, weights (1, 0, 1), phi1 = 1e-2 / 1e-3 / 1e-4
 LADDER_3_3 = (0.018095896431221892, 0.017398378233867941, 0.017391261894118434)
-LIMIT_3_3 = 0.017391190011898743
+# its zero-phase limit; 60 digits give 0.01739118999705534529
+LIMIT_3_3 = 0.017391189997055346
 
 
 def test_weights_from_ratios():
@@ -102,8 +106,57 @@ def test_zero_phase_limit_vacuum():
     res = zero_phase_limit(VAC, 3.0, 3.0, (1, 0, 1))
     assert res.status == "ok"
     assert np.isclose(res.delta_phi, LIMIT_3_3, rtol=1e-10)
-    assert res.residual < 1e-6
+    assert res.orders == (2, 1)
     assert not res.is_divergent
+
+
+def test_high_gain_limit_is_exact():
+    # 60 digits give 4.890206489018083e-05; a three-rung ladder from
+    # eps = 1e-2 read 6.557e-5 here, its eps^2 error grown with the gain
+    res = zero_phase_limit(VAC, 6.0, 6.0, (1, 0, 1))
+    assert res.orders == (2, 1)
+    assert np.isclose(res.delta_phi, 4.890206489018083e-05, rtol=1e-14)
+
+
+def test_limit_matches_closed_form_on_gain_grid():
+    for b1 in np.linspace(0.1, 6.0, 8):
+        for b2 in np.linspace(0.1, 6.0, 8):
+            res = zero_phase_limit(VAC, b1, b2, (1, 1, 0))
+            assert np.isclose(res.delta_phi, closed_form_limit(b1, b2),
+                              rtol=1e-14, atol=0.0)
+
+
+def _richardson(state, beta, weights, eps=(1e-6, 1e-7)):
+    vals = [phase_sensitivity(InterferometerConfig.balanced(beta, beta, phi1=e),
+                              state, weights).delta_phi for e in eps]
+    q = (eps[1] / eps[0]) ** 2
+    return (vals[1] - q * vals[0]) / (1.0 - q)
+
+
+def test_limit_matches_fine_ladders():
+    cases = ((VAC, (1, 0, 1)), (InputState.coherent(1, 0.5), (0, 1, 1)),
+             (InputState.coherent(3, 5.0), (1, 1, 0)))
+    for state, weights in cases:
+        for beta in (1.0, 3.0, 4.3, 5.0, 6.0):
+            res = zero_phase_limit(state, beta, beta, weights)
+            assert res.orders == (2, 1)
+            assert np.isclose(res.delta_phi, _richardson(state, beta, weights),
+                              rtol=1e-9, atol=0.0)
+
+
+def test_weak_coherent_bright_port_diverges():
+    # the slope's eps^0 coefficient is rounding residue of its gross size
+    # here, and the variance's is not: dphi grows like 1/eps
+    res = zero_phase_limit(InputState.coherent(1, 0.01), 3.3, 3.3, (1, 0, 1))
+    assert res.is_divergent
+    assert res.orders == (0, 1)
+    assert math.isinf(res.delta_phi)
+
+
+def test_limit_rejects_bad_phase_index():
+    for j in (0, 4):
+        with pytest.raises(ValueError):
+            zero_phase_limit(VAC, 3.0, 3.0, (1, 0, 1), phase_index=j)
 
 
 def test_limit_matches_bright_pair_closed_form():
@@ -165,13 +218,15 @@ def test_coherent_port1_divergent_at_zero_phase():
 def test_coherent_port1_without_probe_weight_converges():
     res = zero_phase_limit(InputState.coherent(1, 0.5), 3.0, 3.0, (0, 1, 1))
     assert res.status == "ok"
-    assert np.isclose(res.delta_phi, 0.014848155069903106, rtol=1e-9)
+    # 60 digits give 0.01484815504792400997
+    assert np.isclose(res.delta_phi, 0.01484815504792401, rtol=1e-9)
 
 
 def test_coherent_port3_converges_and_improves():
     res = zero_phase_limit(InputState.coherent(3, 5.0), 3.0, 3.0, (1, 1, 0))
     assert res.status == "ok"
-    assert np.isclose(res.delta_phi, 0.00610779004689555, rtol=1e-9)
+    # 60 digits give 0.006107789998637501527
+    assert np.isclose(res.delta_phi, 0.006107789998637502, rtol=1e-9)
     assert res.delta_phi < closed_form_limit(3.0, 3.0)
 
 
@@ -181,9 +236,11 @@ def test_third_phase_sensitivity():
 
 
 def test_conserved_combination_carries_no_signal():
-    res = zero_phase_limit(VAC, 3.0, 3.0, (1, -1, -1))
-    assert res.is_divergent
-    assert all(np.isinf(v) for v in res.values)
+    for state in (VAC, InputState.coherent(1, 0.5), InputState.coherent(3, 2.0)):
+        for j in (1, 2, 3):
+            res = zero_phase_limit(state, 3.0, 3.0, (1, -1, -1), phase_index=j)
+            assert res.is_divergent
+            assert res.orders is None
 
 
 def test_n_total_matches_closed_form():
