@@ -3,7 +3,7 @@
 Subcommands
     lie-verify    group/algebra property suite, PASS/FAIL per property
     sensitivity   zero-phase sensitivity of one configuration
-    optimize      detection-weight search
+    optimize      optimal detection weights
     figure N      data table behind figure N (3..8) as fig<N>.csv
     oracle-check  truncated-Fock vs Gaussian agreement suite
 
@@ -32,7 +32,6 @@ from .fock_oracle import LeakageExceeded, compare_with_gaussian, vacuum_k_varian
 from .gaussian import InputState
 from .optimizer import (
     AllDivergentError,
-    WeightSearchSpec,
     optimal_ratio_surface,
     optimize_weights,
     phase_surface,
@@ -247,32 +246,24 @@ def cmd_sensitivity(params, outdir, timestamp):
 _OPT_DEFAULTS = {
     "beta1": 3.0, "beta2": 3.0,
     "port": 0, "alpha_abs": 0.0, "phase_index": 1,
-    "fixed_zero": 0, "lo": -3.0, "hi": 3.0,
-    "points": 61, "rounds": 3, "epsilon": 1e-3,
+    "fixed_zero": 0, "epsilon": 1e-3,
 }
 
 
 def cmd_optimize(params, outdir, timestamp):
     state = _state_from(params)
-    spec = WeightSearchSpec(
-        bounds=(params["lo"], params["hi"]),
-        points=params["points"],
-        rounds=params["rounds"],
-        epsilon=params["epsilon"],
-        fixed_zero=params["fixed_zero"] or None,
-    )
-    res = optimize_weights(state, params["beta1"], params["beta2"], spec,
-                           params["phase_index"])
+    res = optimize_weights(state, params["beta1"], params["beta2"],
+                           params["phase_index"], epsilon=params["epsilon"],
+                           fixed_zero=params["fixed_zero"] or None)
     print(f"point        = {', '.join(_fmt(c) for c in res.point)}")
     print(f"value        = {_fmt(res.value)}")
     print(f"weights      = {_fmt(res.weights.w1)}, {_fmt(res.weights.w2)}, "
           f"{_fmt(res.weights.w3)}")
-    print(f"final_step   = {_fmt(res.step)}")
     print(f"evaluations  = {res.evaluations}")
     print(f"limit        = {_fmt(res.limit.delta_phi)} ({res.limit.status})")
     summary = {"command": "optimize", **params,
                "point": ", ".join(_fmt(c) for c in res.point),
-               "value": res.value, "final_step": res.step,
+               "value": res.value,
                "w1": res.weights.w1, "w2": res.weights.w2, "w3": res.weights.w3,
                "evaluations": res.evaluations,
                "limit_delta_phi": res.limit.delta_phi,
@@ -295,10 +286,10 @@ _FIG_DEFAULTS = {
         "w1": 1.0, "w2": 0.0, "w3": 1.0, "sweep": "fix_beta2"},
     6: {"beta1": "diag", "beta2_lo": 0.5, "beta2_hi": 5.0, "beta2_points": 10,
         "alpha_lo": 0.0, "alpha_hi": 10.0, "alpha_points": 11,
-        "points": 61, "rounds": 3, "epsilon": 1e-3},
+        "epsilon": 1e-3},
     7: {"beta1": "diag", "beta2_lo": 0.5, "beta2_hi": 5.0, "beta2_points": 10,
         "alpha_lo": 0.0, "alpha_hi": 10.0, "alpha_points": 11,
-        "points": 61, "rounds": 3, "epsilon": 1e-3},
+        "epsilon": 1e-3},
     8: {"panel": "a", "lo": math.nan, "hi": math.nan, "points": 10},
 }
 
@@ -367,9 +358,8 @@ def cmd_figure(n, params, outdir, timestamp):
         als = np.linspace(params["alpha_lo"], params["alpha_hi"],
                           params["alpha_points"])
         beta1 = None if params["beta1"] == "diag" else float(params["beta1"])
-        spec = WeightSearchSpec(points=params["points"], rounds=params["rounds"],
-                                epsilon=params["epsilon"])
-        rows = optimal_ratio_surface(port, b2s, als, beta1=beta1, spec=spec)
+        rows = optimal_ratio_surface(port, b2s, als, beta1=beta1,
+                                     epsilon=params["epsilon"])
         header = ("beta2", "alpha_abs", "opt_ratio")
         corner = [r for r in rows if r[0] == b2s[-1] and r[1] == als[0]]
         if corner:

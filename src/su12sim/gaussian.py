@@ -36,6 +36,8 @@ class InputState:
     @classmethod
     def coherent(cls, port, amplitude):
         """Coherent light in one port (1-based), vacuum elsewhere."""
+        if port not in (1, 2, 3):
+            raise ValueError(f"port must be 1..3, got {port}")
         a = [0.0, 0.0, 0.0]
         a[port - 1] = amplitude
         return cls(tuple(a))

@@ -1,17 +1,20 @@
-"""Detection-weight search and the parameter sweeps behind the figure tables.
+"""Optimal detection weights and the parameter sweeps behind the figure tables.
 
-All searches are deterministic: dense coarse grid, then local refinement
-with a halving step, ties broken by first-encountered cell in row-major
-order.  Cells whose sensitivity is divergent (infinite or undefined) are
-skipped rather than fatal; only an entirely divergent grid is an error.
+The sensitivity of the estimator w . n is sqrt(w C w) / |w . d| on the
+photocount covariance C and slope d of one configuration, so the best
+weights maximise the generalised Rayleigh quotient (w . d)^2 / w C w.
+Its maximiser is w* = C^-1 d, with minimum sensitivity 1/sqrt(d C^-1 d):
+optimize_weights computes the moments of its probe configuration once
+and solves one linear system on them.  On vacuum input the conserved
+difference (1, -1, -1) is an exact null direction of C and d, and the
+solve runs on the plane orthogonal to it.
 
-A weight search or weight surface computes the photocount moments of its
-probe configuration once and evaluates every weight candidate on them,
-one weight vector at a time, with the arithmetic of phase_sensitivity.
+The sweeps skip divergent cells (infinite or undefined sensitivity)
+rather than failing.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,52 +31,28 @@ from .sensitivity import (
     zero_phase_limit,
 )
 
+# columns span the plane w . (1, -1, -1) = 0
+_CONSERVED_COMPLEMENT = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
 
 class AllDivergentError(RuntimeError):
-    """No grid cell produced a finite sensitivity."""
-
-
-@dataclass(frozen=True)
-class WeightSearchSpec:
-    """Search space for the free weight ratios.
-
-    With fixed_zero None the search runs over (t/s, r/s) with the
-    bright-port weight s = 1.  fixed_zero = 1, 2 or 3 pins that port's
-    weight to zero and searches the single remaining ratio (e.g.
-    fixed_zero = 1 searches r/t with weights (0, 1, r/t), the right
-    space when coherent light in port 1 makes every s != 0 estimator
-    diverge).
-    """
-
-    bounds: tuple = (-3.0, 3.0)
-    points: int = 61
-    rounds: int = 3
-    epsilon: float = 1e-3
-    fixed_zero: int | None = None
-
-    def initial_step(self):
-        lo, hi = self.bounds
-        return (hi - lo) / (self.points - 1)
-
-    def weights_at(self, point):
-        if self.fixed_zero is None:
-            t, r = point
-            return np.array([1.0, t, r])
-        u = point[0]
-        if self.fixed_zero == 1:
-            return np.array([0.0, 1.0, u])
-        if self.fixed_zero == 2:
-            return np.array([1.0, 0.0, u])
-        if self.fixed_zero == 3:
-            return np.array([1.0, u, 0.0])
-        raise ValueError(f"fixed_zero must be None or 1..3, got {self.fixed_zero}")
+    """No weight choice produces a finite sensitivity."""
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Optimal weights and their sensitivity at the probe point.
+
+    point holds the free weight ratios: (w2/w1, w3/w1) with no port
+    pinned, otherwise the later free weight over the earlier one (r/t
+    for fixed_zero = 1, r/s for 2, t/s for 3); a zero pivot weight makes
+    them infinite.  value is report.delta_phi, limit is the exact
+    zero-phase limit of the same weights, and evaluations counts the
+    weight vectors evaluated (the one solution).
+    """
+
     point: tuple
     value: float
-    step: float
     weights: DetectorWeights
     report: SensitivityReport
     limit: LimitResult
@@ -86,77 +65,45 @@ def _probe_config(beta1, beta2, epsilon, phase_index):
     return InterferometerConfig.balanced(beta1, beta2, *phis)
 
 
-def optimize_weights(state, beta1, beta2, spec=None, phase_index=1):
-    """Best detection weights for the balanced cascade at small probe phase.
+def optimize_weights(state, beta1, beta2, phase_index=1, *, epsilon=1e-3,
+                     fixed_zero=None):
+    """Best detection weights for the balanced cascade at probe offset epsilon.
 
-    Coarse grid over the free ratios, then `spec.rounds` refinement
-    passes that halve the step and scan the 3^d neighborhood of the
-    incumbent (clipped to the bounds), moving only on strict
-    improvement.  The objective is dphi at offset spec.epsilon; the
-    returned result also carries the exact zero-phase limit of the
-    winning weights as a consistency spot check.
+    fixed_zero = 1, 2 or 3 pins that port's weight to zero and optimises
+    the other two (the right space when, e.g., coherent light in port 1
+    makes every estimator with a port-1 weight diverge at zero phase).
+    Raises AllDivergentError when no weights carry a finite sensitivity,
+    as at zero gain.
     """
-    if spec is None:
-        spec = WeightSearchSpec()
-    cfg = _probe_config(beta1, beta2, spec.epsilon, phase_index)
-    moments = sensitivity_moments(cfg, state, phase_index)
-    evaluations = 0
-
-    def objective(point):
-        nonlocal evaluations
-        evaluations += 1
-        rep = sensitivity_from_moments(moments, spec.weights_at(point))
-        return rep.delta_phi if math.isfinite(rep.delta_phi) else math.inf
-
-    axis = np.linspace(spec.bounds[0], spec.bounds[1], spec.points)
-    if spec.fixed_zero is None:
-        grid = [(float(t), float(r)) for t in axis for r in axis]
-    else:
-        grid = [(float(u),) for u in axis]
-
-    best_point, best_value = None, math.inf
-    for p in grid:
-        v = objective(p)
-        if v < best_value:
-            best_point, best_value = p, v
-    if best_point is None:
-        raise AllDivergentError(
-            f"no finite sensitivity anywhere on the {len(grid)}-cell grid"
-        )
-
-    step = spec.initial_step()
-    lo, hi = spec.bounds
-    for _ in range(spec.rounds):
-        step /= 2.0
-        offsets = (-step, 0.0, step)
-        if spec.fixed_zero is None:
-            neighbors = [
-                (best_point[0] + dt, best_point[1] + dr)
-                for dt in offsets
-                for dr in offsets
-            ]
-        else:
-            neighbors = [(best_point[0] + du,) for du in offsets]
-        for p in neighbors:
-            p = tuple(min(max(c, lo), hi) for c in p)
-            if p == best_point:
-                continue
-            v = objective(p)
-            if v < best_value:
-                best_point, best_value = p, v
-
-    w = spec.weights_at(best_point)
-    weights = DetectorWeights(*w).normalized()
+    if fixed_zero not in (None, 1, 2, 3):
+        raise ValueError(f"fixed_zero must be None or 1..3, got {fixed_zero}")
+    free = np.delete(np.arange(3), fixed_zero - 1) if fixed_zero else np.arange(3)
+    basis = np.eye(3)[:, free]
+    if fixed_zero is None and not any(state.alpha):
+        # null only on vacuum: coherent light gives n1 - n2 - n3 shot noise
+        basis = _CONSERVED_COMPLEMENT
+    moments = sensitivity_moments(_probe_config(beta1, beta2, epsilon, phase_index),
+                                  state, phase_index)
+    _, cov, dmean = moments
+    divergent = f"no weights carry a finite sensitivity at beta = ({beta1}, {beta2})"
+    try:
+        w = basis @ np.linalg.solve(basis.T @ cov @ basis, basis.T @ dmean)
+        weights = DetectorWeights(*w).normalized()
+    except (np.linalg.LinAlgError, ValueError):  # singular noise, or w* = 0
+        raise AllDivergentError(divergent) from None
     report = sensitivity_from_moments(moments, weights)
-    limit = zero_phase_limit(state, beta1, beta2, weights, phase_index)
+    if not math.isfinite(report.delta_phi):
+        raise AllDivergentError(divergent)
+    ratios = weights.as_array()[free]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = tuple(float(x) for x in ratios[1:] / ratios[0])
     return OptimizationResult(
-        point=best_point,
-        value=best_value,
-        step=step,
+        point=point,
+        value=report.delta_phi,
         weights=weights,
         report=report,
-        limit=limit,
-        evaluations=evaluations,
+        limit=zero_phase_limit(state, beta1, beta2, weights, phase_index),
+        evaluations=1,
     )
 
 
@@ -242,7 +189,7 @@ def scaling_curve(sweep, samples, partner=3.0, weights=(1.0, 0.0, 1.0),
 
 
 def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None,
-                          spec=None, phase_index=1):
+                          phase_index=1, *, epsilon=1e-3):
     """Optimal free weight ratio over a (beta2, |alpha|) grid.
 
     port 1 pins the bright-port weight to zero and reports r/t; port 3
@@ -252,9 +199,6 @@ def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None,
     """
     if port not in (1, 3):
         raise ValueError("ratio surfaces are defined for coherent port 1 or 3")
-    if spec is None:
-        spec = WeightSearchSpec()
-    spec = replace(spec, fixed_zero=port)
     rows = []
     for b2 in beta2_values:
         b2 = float(b2)
@@ -263,7 +207,8 @@ def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None,
             a = float(a)
             state = InputState.coherent(port, a) if a != 0.0 else InputState.vacuum()
             try:
-                res = optimize_weights(state, b1, b2, spec, phase_index)
+                res = optimize_weights(state, b1, b2, phase_index,
+                                       epsilon=epsilon, fixed_zero=port)
                 ratio = res.point[0]
             except AllDivergentError:
                 ratio = math.nan

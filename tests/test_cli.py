@@ -83,6 +83,15 @@ def test_fixed_zero_out_of_range_is_usage_error(tmp_path, capsys, fixed_zero):
     assert "fixed_zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["rounds=4", "points=31"])
+@pytest.mark.parametrize("command", [["optimize"], ["figure", "6"]],
+                         ids=["optimize", "figure6"])
+def test_removed_search_keys_are_usage_errors(tmp_path, capsys, command, key):
+    rc = main([*command, "--set", key, "--out", str(tmp_path)])
+    assert rc == 2
+    assert key.split("=")[0] in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     rc = main(["sensitivity", "--set", "bogus=1", "--out", str(tmp_path)])
     assert rc == 2
@@ -111,14 +120,13 @@ def test_config_file_layering(tmp_path):
 
 
 def test_optimize_reports_minimum(tmp_path):
-    rc = main([
-        "optimize", "--set", "rounds=2", "--set", "points=31",
-        "--out", str(tmp_path), "--no-timestamp",
-    ])
+    rc = main(["optimize", "--out", str(tmp_path), "--no-timestamp"])
     assert rc == 0
     s = read_summary(tmp_path / "summary.txt")
     assert s["limit_status"] == "ok"
     assert float(s["value"]) < 0.017
+    assert s["evaluations"] == "1"
+    assert "final_step" not in s
 
 
 def test_figure3_csv_layout(tmp_path):

@@ -2,6 +2,7 @@
 and the truncated-Fock simulator."""
 
 import numpy as np
+import pytest
 
 from su12sim.fock_oracle import TruncatedFockSpace, photon_statistics_fock
 from su12sim.gaussian import (
@@ -27,6 +28,12 @@ def test_input_state_helpers():
     assert np.allclose(v.alpha_vector, 0)
     c = InputState.coherent(2, 0.5 + 0.1j)
     assert c.alpha == (0j, 0.5 + 0.1j, 0j)
+
+
+@pytest.mark.parametrize("port", [0, 4, -1])
+def test_coherent_rejects_ports_outside_1_to_3(port):
+    with pytest.raises(ValueError, match="port"):
+        InputState.coherent(port, 1.0)
 
 
 def test_vacuum_single_fwm_probe_mean():
