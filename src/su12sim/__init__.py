@@ -7,8 +7,8 @@ from .gaussian import InputState, propagate, photon_statistics
 from .sensitivity import (
     DetectorWeights,
     phase_sensitivity,
-    sensitivity_from_moments,
-    sensitivity_moments,
+    zero_phase_moments,
+    limit_from_moments,
     zero_phase_limit,
     n_total,
 )
@@ -23,8 +23,8 @@ __all__ = [
     "photon_statistics",
     "DetectorWeights",
     "phase_sensitivity",
-    "sensitivity_moments",
-    "sensitivity_from_moments",
+    "zero_phase_moments",
+    "limit_from_moments",
     "zero_phase_limit",
     "n_total",
     "optimize_weights",

@@ -39,6 +39,7 @@ from .optimizer import (
     weight_surface,
 )
 from .sensitivity import (
+    NO_SIGNAL_RTOL,
     NonConvergentLimitError,
     asymptote_high_gain,
     closed_form_limit,
@@ -246,27 +247,26 @@ def cmd_sensitivity(params, outdir, timestamp):
 _OPT_DEFAULTS = {
     "beta1": 3.0, "beta2": 3.0,
     "port": 0, "alpha_abs": 0.0, "phase_index": 1,
-    "fixed_zero": 0, "epsilon": 1e-3,
+    "fixed_zero": 0,
 }
 
 
 def cmd_optimize(params, outdir, timestamp):
     state = _state_from(params)
     res = optimize_weights(state, params["beta1"], params["beta2"],
-                           params["phase_index"], epsilon=params["epsilon"],
+                           params["phase_index"],
                            fixed_zero=params["fixed_zero"] or None)
     print(f"point        = {', '.join(_fmt(c) for c in res.point)}")
     print(f"value        = {_fmt(res.value)}")
     print(f"weights      = {_fmt(res.weights.w1)}, {_fmt(res.weights.w2)}, "
           f"{_fmt(res.weights.w3)}")
     print(f"evaluations  = {res.evaluations}")
-    print(f"limit        = {_fmt(res.limit.delta_phi)} ({res.limit.status})")
+    print(f"limit_status = {res.limit.status}")
     summary = {"command": "optimize", **params,
                "point": ", ".join(_fmt(c) for c in res.point),
                "value": res.value,
                "w1": res.weights.w1, "w2": res.weights.w2, "w3": res.weights.w3,
                "evaluations": res.evaluations,
-               "limit_delta_phi": res.limit.delta_phi,
                "limit_status": res.limit.status}
     _write_summary(outdir, summary)
     return 0
@@ -280,16 +280,13 @@ _FIG_DEFAULTS = {
     3: {"beta1": 3.0, "beta2": 3.0, "phi1": 1e-3,
         "w1": 1.0, "w2": 0.0, "w3": 1.0,
         "phi_lo": -math.pi, "phi_hi": math.pi, "points": 61},
-    4: {"beta1": 3.0, "beta2": 3.0, "lo": -3.0, "hi": 3.0,
-        "points": 61, "epsilon": 1e-3},
+    4: {"beta1": 3.0, "beta2": 3.0, "lo": -3.0, "hi": 3.0, "points": 61},
     5: {"partner": 3.0, "lo": 2.5, "hi": 5.0, "points": 11,
         "w1": 1.0, "w2": 0.0, "w3": 1.0, "sweep": "fix_beta2"},
     6: {"beta1": "diag", "beta2_lo": 0.5, "beta2_hi": 5.0, "beta2_points": 10,
-        "alpha_lo": 0.0, "alpha_hi": 10.0, "alpha_points": 11,
-        "epsilon": 1e-3},
+        "alpha_lo": 0.0, "alpha_hi": 10.0, "alpha_points": 11},
     7: {"beta1": "diag", "beta2_lo": 0.5, "beta2_hi": 5.0, "beta2_points": 10,
-        "alpha_lo": 0.0, "alpha_hi": 10.0, "alpha_points": 11,
-        "epsilon": 1e-3},
+        "alpha_lo": 0.0, "alpha_hi": 10.0, "alpha_points": 11},
     8: {"panel": "a", "lo": math.nan, "hi": math.nan, "points": 10},
 }
 
@@ -332,11 +329,12 @@ def cmd_figure(n, params, outdir, timestamp):
         rows = weight_surface(
             InputState.vacuum(), params["beta1"], params["beta2"],
             bounds=(params["lo"], params["hi"]), points=params["points"],
-            epsilon=params["epsilon"],
         )
         header = ("t_over_s", "r_over_s", "dphi1")
-        vals = [r[2] if math.isfinite(r[2]) else math.inf for r in rows]
-        k = int(np.argmin(vals))
+        # the vacuum optimum is a line of cells equal up to rounding: report
+        # the first cell, row-major, within NO_SIGNAL_RTOL of the minimum
+        vals = np.array([r[2] if math.isfinite(r[2]) else math.inf for r in rows])
+        k = int(np.argmax(vals <= (1.0 + NO_SIGNAL_RTOL) * vals.min()))
         summary.update(argmin_t_over_s=rows[k][0], argmin_r_over_s=rows[k][1],
                        argmin_dphi1=rows[k][2])
     elif n == 5:
@@ -358,8 +356,7 @@ def cmd_figure(n, params, outdir, timestamp):
         als = np.linspace(params["alpha_lo"], params["alpha_hi"],
                           params["alpha_points"])
         beta1 = None if params["beta1"] == "diag" else float(params["beta1"])
-        rows = optimal_ratio_surface(port, b2s, als, beta1=beta1,
-                                     epsilon=params["epsilon"])
+        rows = optimal_ratio_surface(port, b2s, als, beta1=beta1)
         header = ("beta2", "alpha_abs", "opt_ratio")
         corner = [r for r in rows if r[0] == b2s[-1] and r[1] == als[0]]
         if corner:

@@ -1,13 +1,18 @@
 """Optimal detection weights and the parameter sweeps behind the figure tables.
 
-The sensitivity of the estimator w . n is sqrt(w C w) / |w . d| on the
-photocount covariance C and slope d of one configuration, so the best
-weights maximise the generalised Rayleigh quotient (w . d)^2 / w C w.
-Its maximiser is w* = C^-1 d, with minimum sensitivity 1/sqrt(d C^-1 d):
-optimize_weights computes the moments of its probe configuration once
-and solves one linear system on them.  On vacuum input the conserved
-difference (1, -1, -1) is an exact null direction of C and d, and the
-solve runs on the plane orthogonal to it.
+The zero-phase sensitivity of the estimator w . n follows from the power
+series of the photocount covariance C(eps) = C0 + C1 eps + C2 eps^2 and
+slope d(eps) = d0 + d1 eps in the probe offset eps.  For vacuum or
+coherent light in one port, d0 = 0 and C0 is the shot noise of the lit
+port, so any weight on the lit port diverges.  On the unlit ports, which
+are exactly the null space of C0, C1 vanishes too and the limit is
+sqrt(w C2 w) / |w . d1|.  The best weights maximise the generalised
+Rayleigh quotient (w . d1)^2 / w C2 w there, so optimize_weights solves
+C2 w = d1 on the unlit ports, in the least-squares sense with singular
+values below NO_SIGNAL_RTOL of the largest cut off.  That one solve
+covers the conserved difference (1, -1, -1), an exact null direction of
+C2 on vacuum; the rank-1 C2 of the second phase; and ports pinned to
+zero.  The zero-phase limit of the solution certifies it.
 
 The sweeps skip divergent cells (infinite or undefined sensitivity)
 rather than failing.
@@ -21,18 +26,15 @@ import numpy as np
 from .gaussian import InputState
 from .interferometer import InterferometerConfig
 from .sensitivity import (
+    NO_SIGNAL_RTOL,
     DetectorWeights,
     LimitResult,
-    SensitivityReport,
+    limit_from_moments,
     n_total,
     phase_sensitivity,
-    sensitivity_from_moments,
-    sensitivity_moments,
     zero_phase_limit,
+    zero_phase_moments,
 )
-
-# columns span the plane w . (1, -1, -1) = 0
-_CONSERVED_COMPLEMENT = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 class AllDivergentError(RuntimeError):
@@ -41,68 +43,63 @@ class AllDivergentError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Optimal weights and their sensitivity at the probe point.
+    """Optimal weights and their exact zero-phase sensitivity.
 
-    point holds the free weight ratios: (w2/w1, w3/w1) with no port
-    pinned, otherwise the later free weight over the earlier one (r/t
-    for fixed_zero = 1, r/s for 2, t/s for 3); a zero pivot weight makes
-    them infinite.  value is report.delta_phi, limit is the exact
-    zero-phase limit of the same weights, and evaluations counts the
-    weight vectors evaluated (the one solution).
+    point holds the ratios of the free weights, the later ones over the
+    first: (w2/w1, w3/w1) on vacuum with no port pinned; with one lit or
+    pinned port left out, r/t when it is port 1, r/s for port 2 and t/s
+    for port 3; () when one port is free.  A zero first free weight
+    makes the ratios infinite.  evaluations counts the weight vectors
+    evaluated (the one solution).
     """
 
     point: tuple
-    value: float
     weights: DetectorWeights
-    report: SensitivityReport
     limit: LimitResult
     evaluations: int
 
-
-def _probe_config(beta1, beta2, epsilon, phase_index):
-    phis = [0.0, 0.0, 0.0]
-    phis[phase_index - 1] = epsilon
-    return InterferometerConfig.balanced(beta1, beta2, *phis)
+    @property
+    def value(self):
+        return self.limit.delta_phi
 
 
-def optimize_weights(state, beta1, beta2, phase_index=1, *, epsilon=1e-3,
-                     fixed_zero=None):
-    """Best detection weights for the balanced cascade at probe offset epsilon.
+def optimize_weights(state, beta1, beta2, phase_index=1, *, fixed_zero=None):
+    """Best zero-phase detection weights for the balanced cascade.
 
-    fixed_zero = 1, 2 or 3 pins that port's weight to zero and optimises
-    the other two (the right space when, e.g., coherent light in port 1
-    makes every estimator with a port-1 weight diverge at zero phase).
-    Raises AllDivergentError when no weights carry a finite sensitivity,
-    as at zero gain.
+    The weight of a lit port is zero.  fixed_zero = 1, 2 or 3 pins that
+    port's weight to zero too and optimises the others.  Raises
+    ValueError for light in more than one port, whose slope has an
+    eps^0 term on every port (a different regime), and AllDivergentError
+    when no weights carry a finite sensitivity, as at zero gain.
     """
     if fixed_zero not in (None, 1, 2, 3):
         raise ValueError(f"fixed_zero must be None or 1..3, got {fixed_zero}")
-    free = np.delete(np.arange(3), fixed_zero - 1) if fixed_zero else np.arange(3)
-    basis = np.eye(3)[:, free]
-    if fixed_zero is None and not any(state.alpha):
-        # null only on vacuum: coherent light gives n1 - n2 - n3 shot noise
-        basis = _CONSERVED_COMPLEMENT
-    moments = sensitivity_moments(_probe_config(beta1, beta2, epsilon, phase_index),
-                                  state, phase_index)
-    _, cov, dmean = moments
+    lit = np.flatnonzero(state.alpha_vector)
+    if lit.size > 1:
+        raise ValueError("the zero-phase optimum needs vacuum or light in one port, "
+                         f"got light in ports {', '.join(str(k + 1) for k in lit)}")
+    out = [*lit, *([fixed_zero - 1] if fixed_zero else [])]
+    free = np.setdiff1d(np.arange(3), out)
+    moments = zero_phase_moments(state, beta1, beta2, phase_index)
+    cov, slope = moments
+    w = np.zeros(3)
+    w[free] = np.linalg.lstsq(cov[0, 2][np.ix_(free, free)], slope[0, 1][free],
+                              rcond=NO_SIGNAL_RTOL)[0]
     divergent = f"no weights carry a finite sensitivity at beta = ({beta1}, {beta2})"
     try:
-        w = basis @ np.linalg.solve(basis.T @ cov @ basis, basis.T @ dmean)
         weights = DetectorWeights(*w).normalized()
-    except (np.linalg.LinAlgError, ValueError):  # singular noise, or w* = 0
+    except ValueError:  # w* = 0: no slope on the free ports
         raise AllDivergentError(divergent) from None
-    report = sensitivity_from_moments(moments, weights)
-    if not math.isfinite(report.delta_phi):
+    dphi, p, q = limit_from_moments(moments, weights.as_array())
+    if not math.isfinite(dphi):
         raise AllDivergentError(divergent)
     ratios = weights.as_array()[free]
     with np.errstate(divide="ignore", invalid="ignore"):
         point = tuple(float(x) for x in ratios[1:] / ratios[0])
     return OptimizationResult(
         point=point,
-        value=report.delta_phi,
         weights=weights,
-        report=report,
-        limit=zero_phase_limit(state, beta1, beta2, weights, phase_index),
+        limit=LimitResult(float(dphi), "ok", (int(p), int(q))),
         evaluations=1,
     )
 
@@ -130,21 +127,18 @@ def phase_surface(beta1, beta2, weights=(1.0, 0.0, 1.0), phi1=1e-3,
 
 
 def weight_surface(state, beta1, beta2, bounds=(-3.0, 3.0), points=61,
-                   epsilon=1e-3, phase_index=1):
-    """dphi over the (t/s, r/s) plane; divergent cells recorded as nan.
+                   phase_index=1):
+    """Zero-phase dphi over the (t/s, r/s) plane; divergent cells recorded as nan.
 
     Rows are (t_over_s, r_over_s, dphi).
     """
-    cfg = _probe_config(beta1, beta2, epsilon, phase_index)
-    moments = sensitivity_moments(cfg, state, phase_index)
     axis = np.linspace(bounds[0], bounds[1], points)
-    rows = []
-    for t in axis:
-        for r in axis:
-            rep = sensitivity_from_moments(moments, (1.0, float(t), float(r)))
-            v = rep.delta_phi if math.isfinite(rep.delta_phi) else math.nan
-            rows.append((float(t), float(r), v))
-    return rows
+    t, r = np.meshgrid(axis, axis, indexing="ij")
+    weights = np.stack([np.ones_like(t), t, r], axis=-1).reshape(-1, 3)
+    dphi, _, _ = limit_from_moments(
+        zero_phase_moments(state, beta1, beta2, phase_index), weights)
+    dphi[~np.isfinite(dphi)] = math.nan
+    return [(float(w[1]), float(w[2]), float(d)) for w, d in zip(weights, dphi)]
 
 
 def scaling_curve(sweep, samples, partner=3.0, weights=(1.0, 0.0, 1.0),
@@ -189,7 +183,7 @@ def scaling_curve(sweep, samples, partner=3.0, weights=(1.0, 0.0, 1.0),
 
 
 def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None,
-                          phase_index=1, *, epsilon=1e-3):
+                          phase_index=1):
     """Optimal free weight ratio over a (beta2, |alpha|) grid.
 
     port 1 pins the bright-port weight to zero and reports r/t; port 3
@@ -207,8 +201,7 @@ def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None,
             a = float(a)
             state = InputState.coherent(port, a) if a != 0.0 else InputState.vacuum()
             try:
-                res = optimize_weights(state, b1, b2, phase_index,
-                                       epsilon=epsilon, fixed_zero=port)
+                res = optimize_weights(state, b1, b2, phase_index, fixed_zero=port)
                 ratio = res.point[0]
             except AllDivergentError:
                 ratio = math.nan

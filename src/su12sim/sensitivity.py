@@ -6,18 +6,18 @@ w2 n2 + w3 n3.  Its phase sensitivity by error propagation is
     dphi_j = sqrt(Var O) / |d<O>/dphi_j|,
 
 evaluated at a working point of the cascade.  It depends on the
-configuration only through the photocount means, their covariance C and
-the slope vector d = d<n>/dphi_j: dphi_j = sqrt(w C w) / |w . d|.
-sensitivity_moments computes these once per configuration,
-sensitivity_from_moments evaluates one weight vector on them, and
-phase_sensitivity is the composition of the two.
+configuration only through the photocount covariance C and the slope
+vector d = d<n>/dphi_j: dphi_j = sqrt(w C w) / |w . d|.
 
-The quantity of interest is usually the limit of dphi_1 as the probe
+The quantity of interest is usually the limit of dphi_j as the probe
 phase goes to zero, taken in the balanced configuration where the
 cascade is self-cancelling.  Both the variance and the slope vanish
-there, and zero_phase_limit takes the limit exactly from the leading
-terms of their power series in the probe offset (Taylor arithmetic;
-Griewank & Walther, Evaluating Derivatives, SIAM 2008, ch. 13).
+there, and the limit follows exactly from the leading terms of their
+power series in the probe offset (Taylor arithmetic; Griewank & Walther,
+Evaluating Derivatives, SIAM 2008, ch. 13).  zero_phase_moments computes
+the weight-free series C(eps) and d(eps) once per configuration,
+limit_from_moments applies a stack of weight vectors to them, and
+zero_phase_limit is the composition of the two for one weight vector.
 
 Some weight choices carry no signal at all.  The combination
 proportional to (1, -1, -1) measures the conserved photon-number
@@ -54,6 +54,15 @@ SERIES_ORDER = 2
 _ORDERS = np.arange(SERIES_ORDER + 1)
 # _CAUCHY[a, b, k] = [a + b == k]: contracting with it multiplies series
 _CAUCHY = (np.add.outer(_ORDERS, _ORDERS)[:, :, None] == _ORDERS).astype(float)
+_EYE = np.eye(3)
+# the variance series V (orders 0..SERIES_ORDER) and the slope series D
+# (0..SERIES_ORDER - 1) side by side on one axis: the order of each slot,
+# the length of its series (the order reported for a series with no nonzero
+# coefficient), and the slots where each series starts and ends
+_SERIES_ORDERS = np.concatenate([_ORDERS, _ORDERS[:-1]])
+_SERIES_LENGTHS = np.repeat([SERIES_ORDER + 1, SERIES_ORDER], [SERIES_ORDER + 1, SERIES_ORDER])
+_SERIES_STARTS = np.array([0, SERIES_ORDER + 1])
+_SERIES_ENDS = np.array([SERIES_ORDER, 2 * SERIES_ORDER])
 
 
 class NonConvergentLimitError(RuntimeError):
@@ -169,27 +178,20 @@ class SensitivityReport:
     derivative: float
 
 
-def sensitivity_moments(config, state, phase_index=1, derivative="analytic", h=1e-5):
-    """Photocount moments that fix the sensitivity of every estimator.
+def phase_sensitivity(config, state, weights, phase_index=1):
+    """Error-propagation sensitivity at the configuration's phase point.
 
-    Returns (mean_vec, cov, dmean): the output photon-number means, their
-    covariance matrix and d<n_i>/dphi_j, at the configuration's own phase
-    point.  derivative and h are as in mean_derivative.  The stage
-    matrices are built once and shared by the propagation and the
-    analytic derivative.
+    Returns a SensitivityReport; delta_phi is inf when the estimator
+    carries no signal in the chosen phase.  "No signal" is judged
+    against the gross (cancellation-free) magnitude of each quantity, so
+    combinations that vanish identically -- like the conserved
+    photon-number difference, whose variance and slope are zero up to
+    rounding of large opposing terms -- are reported as signal-free
+    instead of returning ratios of rounding noise.
     """
     mats = config.stage_matrices()
     mean_vec, cov = photon_statistics(propagate(chronological_product(mats), state))
-    dmean = _mean_vector_derivative(config, state, phase_index, derivative, h, mats)
-    return mean_vec, cov, dmean
-
-
-def sensitivity_from_moments(moments, weights):
-    """SensitivityReport of one weight vector on sensitivity_moments output.
-
-    The signal-free guards and the inf rule are those of phase_sensitivity.
-    """
-    mean_vec, cov, dmean = moments
+    dmean = _mean_vector_derivative(config, state, phase_index, mats=mats)
     w = _as_weight_array(weights)
     mean, var = estimator_stats(mean_vec, cov, w)
     gross_var = float(np.abs(w) @ np.abs(cov) @ np.abs(w))
@@ -206,22 +208,6 @@ def sensitivity_from_moments(moments, weights):
     return SensitivityReport(delta_phi=dp, mean=mean, variance=var, derivative=d)
 
 
-def phase_sensitivity(config, state, weights, phase_index=1,
-                      derivative="analytic", h=1e-5):
-    """Error-propagation sensitivity at the configuration's phase point.
-
-    Returns a SensitivityReport; delta_phi is inf when the estimator
-    carries no signal in the chosen phase.  "No signal" is judged
-    against the gross (cancellation-free) magnitude of each quantity, so
-    combinations that vanish identically -- like the conserved
-    photon-number difference, whose variance and slope are zero up to
-    rounding of large opposing terms -- are reported as signal-free
-    instead of returning ratios of rounding noise.
-    """
-    return sensitivity_from_moments(
-        sensitivity_moments(config, state, phase_index, derivative, h), weights)
-
-
 @dataclass(frozen=True)
 class LimitResult:
     """Zero-phase sensitivity and the leading orders (p, q) of the variance
@@ -236,46 +222,67 @@ class LimitResult:
         return self.status == "divergent"
 
 
-def _limit_series(state, beta1, beta2, w, phase_index):
-    """Series (V, D) of Var O and d<O>/dphi_j in the probe offset eps.
+def zero_phase_moments(state, beta1, beta2, phase_index=1):
+    """Weight-free series of photocount covariance and slope in the probe offset.
 
-    S(eps) = I + (exp(rate eps) - 1) L[:, j] R[j] exactly, L and R the
-    halves around the phase stage.  Row 1 of V and D repeats row 0's
-    computation on the moduli of all inputs: a cancellation-free bound.
+    Returns (cov, slope): cov[:, k] is the coefficient of eps^k in the
+    covariance matrix (k <= SERIES_ORDER), slope[:, k] that of eps^k in
+    d<n>/dphi_j (k < SERIES_ORDER).  S(eps) = I + (exp(rate eps) - 1)
+    L[:, j] R[j] exactly, L and R the halves around the phase stage.
+    Row 1 of each repeats row 0's computation on the moduli of all
+    inputs: a cancellation-free bound.
     """
     S1, S2, _, S3, S4 = InterferometerConfig.balanced(beta1, beta2).stage_matrices()
     j, rate = _probe_slot(phase_index)
     S = np.zeros((2, SERIES_ORDER + 1, 3, 3), dtype=complex)
-    S[:, 0] = np.eye(3)
+    S[:, 0] = _EYE
     S[0, 1:] = np.multiply.outer(np.cumprod(rate / _ORDERS[1:]),
                                  np.outer((S4 @ S3)[:, j], (S2 @ S1)[j]))
     S[1, 1:] = np.abs(S[0, 1:])
-    alpha = np.stack([state.alpha_vector, np.abs(state.alpha_vector)])
-    w = np.stack([w, np.abs(w)])
+    a = state.alpha_vector
+    alpha = np.array([a, np.abs(a)])
 
     # propagate and photon_statistics on series
     A, B = from_mode_matrix(S)
     mu = np.einsum("xkil,xl->xki", A, alpha) + np.einsum("xkil,xl->xki", B, np.conj(alpha))
     N = np.einsum("abk,xail,xbjl->xkij", _CAUCHY, np.conj(B), B)
     M = np.einsum("abk,xail,xbjl->xkij", _CAUCHY, A, B)
-    mu_mu = np.einsum("abk,xai,xbj->xkij", _CAUCHY, np.conj(mu), mu)
+    mu_conj = np.conj(mu)
+    mu_mu = np.einsum("abk,xai,xbj->xkij", _CAUCHY, mu_conj, mu)
     mean = np.real(np.diagonal(N + mu_mu, axis1=-2, axis2=-1))
-    mu_mu_conj = np.einsum("abk,xai,xbj->xkij", _CAUCHY, np.conj(mu), np.conj(mu))
-    cov = mean[..., None] * np.eye(3) + np.real(
+    mu_mu_conj = np.einsum("abk,xai,xbj->xkij", _CAUCHY, mu_conj, mu_conj)
+    cov = mean[..., None] * _EYE + np.real(
         np.einsum("abk,xaij,xbij->xkij", _CAUCHY, np.conj(N), N)
         + np.einsum("abk,xaij,xbij->xkij", _CAUCHY, np.conj(M), M)
         + 2.0 * np.einsum("abk,xaij,xbji->xkij", _CAUCHY, mu_mu, N)
         + 2.0 * np.einsum("abk,xaij,xbij->xkij", _CAUCHY, mu_mu_conj, M))
-    V = np.einsum("xi,xkij,xj->xk", w, cov, w)
-    D = _ORDERS[1:] * np.einsum("xi,xki->xk", w, mean[:, 1:])
-    return V, D
+    return cov, _ORDERS[1:, None] * mean[:, 1:]
 
 
-def _leading_order(series):
-    """First order whose coefficient is not rounding residue of its bound."""
-    value, bound = series
-    (orders,) = np.nonzero(np.abs(value) > NO_SIGNAL_RTOL * bound)
-    return int(orders[0]) if orders.size else None
+def limit_from_moments(moments, weights):
+    """Zero-phase sensitivity of every weight vector of a stack (..., 3).
+
+    moments is zero_phase_moments output.  Returns (delta_phi, p, q) of
+    the stack's shape: the leading orders p of the variance series V and
+    q of the slope series D (SERIES_ORDER + 1 and SERIES_ORDER, their
+    lengths, where a series has no nonzero coefficient), and delta_phi =
+    sqrt(V_p) / |D_q| where p = 2q and V_p > 0, inf where p < 2q or the
+    slope vanishes (divergent), nan otherwise (no finite nonzero limit).
+    """
+    cov, slope = moments
+    w = np.array([weights, np.abs(weights)])
+    value, bound = np.concatenate([np.einsum("x...i,xkij,x...j->x...k", w, cov, w),
+                                   np.einsum("x...i,xki->x...k", w, slope)], axis=-1)
+    # first coefficient of V and of D that is not rounding residue of its bound
+    nonzero = np.abs(value) > NO_SIGNAL_RTOL * bound
+    orders = np.minimum.reduceat(np.where(nonzero, _SERIES_ORDERS, _SERIES_LENGTHS),
+                                 _SERIES_STARTS, axis=-1)
+    first = np.take_along_axis(value, np.minimum(orders + _SERIES_STARTS, _SERIES_ENDS),
+                               axis=-1)
+    p, q = orders[..., 0], orders[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(first[..., 0]) / np.abs(first[..., 1])
+    return np.where(p == 2 * q, ratio, np.where(p < 2 * q, math.inf, math.nan)), p, q
 
 
 def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
@@ -285,16 +292,14 @@ def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
     p = 2q; "divergent" with delta_phi = inf when p < 2q or the slope
     series vanishes.  Anything else raises NonConvergentLimitError.
     """
-    V, D = _limit_series(state, beta1, beta2, _as_weight_array(weights), phase_index)
-    p, q = _leading_order(V), _leading_order(D)
-    if q is None:
-        return LimitResult(math.inf, "divergent", None)
-    if p is not None and p < 2 * q:
-        return LimitResult(math.inf, "divergent", (p, q))
-    if p == 2 * q and V[0, p] > 0.0:
-        return LimitResult(float(math.sqrt(V[0, p]) / abs(D[0, q])), "ok", (p, q))
-    raise NonConvergentLimitError(f"variance and slope series with leading "
-                                  f"orders {(p, q)} have no finite nonzero limit")
+    dphi, p, q = limit_from_moments(zero_phase_moments(state, beta1, beta2, phase_index),
+                                    _as_weight_array(weights))
+    orders = None if q == SERIES_ORDER else (
+        None if p > SERIES_ORDER else int(p), int(q))
+    if math.isnan(dphi):
+        raise NonConvergentLimitError(f"variance and slope series with leading "
+                                      f"orders {orders} have no finite nonzero limit")
+    return LimitResult(float(dphi), "divergent" if math.isinf(dphi) else "ok", orders)
 
 
 # ---------------------------------------------------------------------------

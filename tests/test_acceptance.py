@@ -32,7 +32,6 @@ from su12sim.sensitivity import (
     mean_derivative,
     n_total,
     n_total_closed_form,
-    phase_sensitivity,
     su11_benchmark,
     zero_phase_limit,
 )
@@ -110,37 +109,38 @@ def _optimal_detector(config, state):
     photon covariance C and the slope d on vacuum input (criterion 8), so
     it is projected out and the generalised Rayleigh quotient
     (w.d)^2 / w.C.w is maximised on the orthogonal plane.  Returns the
-    optimal weights, scaled to w1 = 1, and the minimum 1/sqrt(d.C+.d).
+    optimal weights, scaled to w1 = 1.
     """
     _, cov = photon_statistics(propagate(config, state))
     slope = np.array([mean_derivative(config, state, e, 1) for e in np.eye(3)])
     plane = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])  # spans the plane w.(1,-1,-1) = 0
-    y = np.linalg.solve(plane.T @ cov @ plane, plane.T @ slope)
-    w = plane @ y
-    return w / w[0], 1.0 / np.sqrt(slope @ w)
+    w = plane @ np.linalg.solve(plane.T @ cov @ plane, plane.T @ slope)
+    return w / w[0]
 
 
 def test_criterion_4_optimal_weight_ratios():
-    epsilon = 1e-3
-    res = optimize_weights(VAC, 3.0, 3.0, epsilon=epsilon)
+    res = optimize_weights(VAC, 3.0, 3.0)
     t, r = res.point
-    probe = InterferometerConfig.balanced(3.0, 3.0, epsilon)
-    w_opt, exact = _optimal_detector(probe, VAC)
+    # the optimal detector at a small probe offset fixes the invariant of the line
+    w_opt = _optimal_detector(InterferometerConfig.balanced(3.0, 3.0, 1e-3), VAC)
     c = DetectorWeights(*w_opt).vacuum_invariant()
     # weights (1, t, r) share the invariant c on (3c+1) t - 2 r + 3c - 1 = 0
     normal = np.array([3.0 * c + 1.0, -2.0])
     off_line = abs(normal @ (t, r) + 3.0 * c - 1.0) / np.linalg.norm(normal)
-    at_target = phase_sensitivity(probe, VAC, (1, 0, 1)).delta_phi
+    # zero-phase bound 1/sqrt(N(N+2)) (Yurke, McCall & Klauder, PRA 33, 4033, 1986)
+    n = n_total((3.0, 3.0))
+    bound = 1.0 / np.sqrt(n * (n + 2.0))
+    at_target = zero_phase_limit(VAC, 3.0, 3.0, (1, 0, 1)).delta_phi
     ok, line = _verdict(
         "optimal weight ratios",
         off_line <= 1e-9
-        and abs(res.value / exact - 1.0) <= 1e-12
+        and abs(res.value / bound - 1.0) <= 1e-12
         and at_target > res.value,
         f"optimize_weights gives (t/s, r/s) = "
         f"({t:.6f}, {r:.6f}), {off_line:.1e} (<= 1e-9) from the line of invariant "
         f"{c:.6f} carried by the exact optimum w* = ({w_opt[0]:.6f}, "
-        f"{w_opt[1]:.6f}, {w_opt[2]:.6f}); value {res.value:.15f} vs "
-        f"1/sqrt(d.C+.d) = {exact:.15f} (rtol 1e-12); the ratios (0, 1), "
+        f"{w_opt[1]:.6f}, {w_opt[2]:.6f}); zero-phase value {res.value:.15f} vs "
+        f"1/sqrt(N(N+2)) = {bound:.15f} (rtol 1e-12); the ratios (0, 1), "
         f"invariant 1, give the larger {at_target:.12f}",
     )
     assert ok, line

@@ -83,9 +83,16 @@ def test_fixed_zero_out_of_range_is_usage_error(tmp_path, capsys, fixed_zero):
     assert "fixed_zero" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["rounds=4", "points=31"])
-@pytest.mark.parametrize("command", [["optimize"], ["figure", "6"]],
-                         ids=["optimize", "figure6"])
+_SEARCH_COMMANDS = {"optimize": ["optimize"], "figure4": ["figure", "4"],
+                    "figure6": ["figure", "6"], "figure7": ["figure", "7"]}
+
+
+@pytest.mark.parametrize("command,key", [
+    *(pytest.param(_SEARCH_COMMANDS[c], k, id=f"{c}-{k}")
+      for c in ("optimize", "figure6") for k in ("rounds=4", "points=31")),
+    *(pytest.param(_SEARCH_COMMANDS[c], "epsilon=1e-3", id=f"{c}-epsilon=1e-3")
+      for c in ("optimize", "figure4", "figure6", "figure7")),
+])
 def test_removed_search_keys_are_usage_errors(tmp_path, capsys, command, key):
     rc = main([*command, "--set", key, "--out", str(tmp_path)])
     assert rc == 2
@@ -127,6 +134,27 @@ def test_optimize_reports_minimum(tmp_path):
     assert float(s["value"]) < 0.017
     assert s["evaluations"] == "1"
     assert "final_step" not in s
+    assert "limit_delta_phi" not in s  # the value is the zero-phase limit
+
+
+def test_optimize_bright_port3_is_finite(tmp_path):
+    rc = main(["optimize", "--set", "port=3", "--set", "alpha_abs=2",
+               "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    s = read_summary(tmp_path / "summary.txt")
+    assert s["limit_status"] == "ok"
+    assert s["w3"] == "0"
+    assert np.isclose(float(s["value"]), 0.012073300910583711, rtol=1e-12)
+
+
+def test_figure4_argmin_is_first_cell_of_the_tie(tmp_path):
+    # the 60 finite cells on t = r tie at the vacuum optimum; row-major
+    # order puts (-3, -3) first
+    rc = main(["figure", "4", "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    s = read_summary(tmp_path / "summary.txt")
+    assert (s["argmin_t_over_s"], s["argmin_r_over_s"]) == ("-3", "-3")
+    assert np.isclose(float(s["argmin_dphi1"]), 0.01660074201380737, rtol=1e-12)
 
 
 def test_figure3_csv_layout(tmp_path):

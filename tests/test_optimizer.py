@@ -5,7 +5,6 @@ import pytest
 
 from su12sim import sensitivity
 from su12sim.gaussian import InputState
-from su12sim.interferometer import InterferometerConfig
 from su12sim.optimizer import (
     AllDivergentError,
     optimize_weights,
@@ -14,6 +13,7 @@ from su12sim.optimizer import (
     scaling_curve,
     weight_surface,
 )
+from su12sim.sensitivity import n_total, zero_phase_limit
 
 VAC = InputState.vacuum()
 
@@ -22,10 +22,14 @@ VAC = InputState.vacuum()
                          ids=["vacuum", "coherent3"])
 def test_exact_optimum_beats_every_weight_surface_cell(state):
     res = optimize_weights(state, 3.0, 3.0)
-    cells = np.array([d for _, _, d in weight_surface(state, 3.0, 3.0)])
-    finite = cells[np.isfinite(cells)]
-    assert finite.size > 3000
-    assert np.all(res.value <= (1 + 1e-15) * finite)
+    rows = np.array(weight_surface(state, 3.0, 3.0))
+    finite = np.isfinite(rows[:, 2])
+    if any(state.alpha):
+        # any port-3 weight diverges for port-3 light: only the r = 0 column is left
+        assert np.array_equal(finite, rows[:, 1] == 0.0)
+    else:
+        assert finite.sum() > 3000
+    assert np.all(res.value <= (1 + 1e-15) * rows[finite, 2])
 
 
 @pytest.mark.parametrize("fixed_zero", [1, 2, 3])
@@ -33,12 +37,39 @@ def test_pinned_port_optimum_beats_dense_scan(fixed_zero):
     state = InputState.coherent(3, 2.0)
     res = optimize_weights(state, 3.0, 3.0, fixed_zero=fixed_zero)
     assert res.weights.as_array()[fixed_zero - 1] == 0.0
-    moments = sensitivity.sensitivity_moments(
-        InterferometerConfig.balanced(3.0, 3.0, 1e-3), state)
     for u in np.linspace(-6.0, 6.0, 2401):
         w = np.insert(np.array([1.0, u]), fixed_zero - 1, 0.0)
-        scanned = sensitivity.sensitivity_from_moments(moments, w).delta_phi
+        scanned = zero_phase_limit(state, 3.0, 3.0, w).delta_phi
         assert res.value <= (1 + 1e-15) * scanned
+
+
+@pytest.mark.parametrize("phase_index", [1, 2, 3])
+@pytest.mark.parametrize("port", [1, 2, 3])
+def test_bright_port_optimum_is_finite(port, phase_index):
+    """The zero-phase solve leaves the lit port out, so its limit is finite."""
+    res = optimize_weights(InputState.coherent(port, 2.0), 3.0, 3.0, phase_index)
+    assert res.limit.status == "ok"
+    assert res.limit.orders == (2, 1)
+    assert res.weights.as_array()[port - 1] == 0.0
+    if (port, phase_index) == (3, 1):
+        # the probe-point solve with port 3 pinned had the limit 0.012073300910722399
+        assert np.isclose(res.value, 0.012073300910583711, rtol=1e-12)
+
+
+@pytest.mark.parametrize("betas", [(3.0, 3.0), (1.0, 2.0), (6.0, 6.0), (0.5, 0.5)],
+                         ids=["3-3", "1-2", "6-6", "0.5-0.5"])
+def test_vacuum_optimum_is_the_su11_type_bound(betas):
+    # 1/sqrt(N(N+2)) (Yurke, McCall & Klauder, PRA 33, 4033, 1986)
+    n = n_total(betas)
+    res = optimize_weights(VAC, *betas)
+    assert np.isclose(res.value, 1.0 / np.sqrt(n * (n + 2.0)), rtol=1e-12, atol=0.0)
+
+
+def test_light_in_two_ports_is_rejected():
+    # the slope then has an eps^0 term on every port: a different regime
+    for alpha in ((1.0, 0.7j, 0.3 + 0.2j), (0.5, 0.0, 0.5)):
+        with pytest.raises(ValueError):
+            optimize_weights(InputState(alpha), 3.0, 3.0)
 
 
 def test_fixed_zero_must_name_a_port():
@@ -49,43 +80,42 @@ def test_fixed_zero_must_name_a_port():
 
 def test_vacuum_optimum_sits_in_the_valley():
     """The vacuum optimum is degenerate along a line of weight ratios; the
-    solve on the plane orthogonal to the conserved difference returns the
-    representative (1, 0.5, 0.5), and the minimum value and its invariant
-    are reproducible to full precision."""
+    minimum-norm solve returns the representative (1, 0.5, 0.5), and the
+    minimum value and its invariant are reproducible to full precision."""
     res = optimize_weights(VAC, 3.0, 3.0)
-    assert np.isclose(res.value, 0.016608272166207597, rtol=1e-12)
+    # 60 digits give 0.016600742013807367
+    assert np.isclose(res.value, 0.01660074201380737, rtol=1e-12)
     assert np.allclose(res.point, (0.5, 0.5), atol=1e-9)
     assert np.isclose(res.weights.vacuum_invariant(), 1 / 3, atol=1e-9)
     assert res.limit.status == "ok"
 
 
 def test_search_propagates_once_per_configuration(monkeypatch):
-    """The optimal weights come from one set of moments."""
-    propagations = []
-    propagate = sensitivity.propagate
+    """The optimal weights and their zero-phase limit come from one set of
+    series moments: the cascade goes through the Bogoliubov split once."""
+    splits = []
+    split = sensitivity.from_mode_matrix
 
-    def counting(transform, state):
-        propagations.append(state)
-        return propagate(transform, state)
+    def counting(S):
+        splits.append(np.shape(S))
+        return split(S)
 
-    monkeypatch.setattr(sensitivity, "propagate", counting)
+    monkeypatch.setattr(sensitivity, "from_mode_matrix", counting)
     res = optimize_weights(VAC, 3.0, 3.0)
     assert res.evaluations == 1
-    # the zero-phase limit of the winner is a series, not a propagation
-    assert len(propagations) == 1
+    assert len(splits) == 1
 
 
 def test_weight_surface_matches_per_cell_sensitivity():
     axis = np.linspace(-1.5, 1.5, 7)  # contains the signal-free (1, -1, -1)
     for state in (VAC, InputState.coherent(3, 1.5)):
         rows = weight_surface(state, 2.0, 3.0, bounds=(-1.5, 1.5), points=7,
-                              epsilon=1e-3, phase_index=2)
-        cfg = InterferometerConfig.balanced(2.0, 3.0, phi2=1e-3)
+                              phase_index=2)
         expected = []
         for t in axis:
             for r in axis:
-                d = sensitivity.phase_sensitivity(
-                    cfg, state, (1.0, float(t), float(r)), 2).delta_phi
+                d = sensitivity.zero_phase_limit(
+                    state, 2.0, 3.0, (1.0, float(t), float(r)), 2).delta_phi
                 expected.append((float(t), float(r), d if math.isfinite(d) else math.nan))
         assert np.array_equal(rows, expected, equal_nan=True)
         assert math.isnan(rows[7 + 1][2])  # (t, r) = (-1, -1)

@@ -23,8 +23,6 @@ from su12sim.sensitivity import (
     n_total,
     n_total_closed_form,
     phase_sensitivity,
-    sensitivity_from_moments,
-    sensitivity_moments,
     su11_benchmark,
     zero_phase_limit,
 )
@@ -65,25 +63,12 @@ def test_report_consistency():
     )
 
 
-def test_sensitivity_is_weights_applied_to_moments():
-    """phase_sensitivity is the composition of the two layers, bit for bit,
-    including the signal-free guard of the conserved difference."""
-    configs = (InterferometerConfig.balanced(3.0, 3.0, phi1=1e-3),
-               InterferometerConfig.balanced(2.0, 2.5, phi1=0.3, phi2=0.1, phi3=-0.2))
-    states = (VAC, *(InputState.coherent(p, 0.7 - 0.4j) for p in (1, 2, 3)))
-    weights = ((1.0, 0.0, 1.0), (1.0, -1.0, -1.0), (0.5, -2.0, 0.25),
-               DetectorWeights(1.0, -0.3, -0.3))
-    for cfg in configs:
-        for state in states:
-            for j in (1, 2, 3):
-                for method in ("analytic", "numeric"):
-                    moments = sensitivity_moments(cfg, state, j, method)
-                    for w in weights:
-                        direct = phase_sensitivity(cfg, state, w, j, method)
-                        assert direct == sensitivity_from_moments(moments, w)
-    guarded = phase_sensitivity(configs[0], VAC, (1.0, -1.0, -1.0))
-    assert guarded.delta_phi == np.inf
-    assert guarded.variance == 0.0 and guarded.derivative == 0.0
+def test_conserved_difference_is_signal_free_at_a_probe_point():
+    # its variance and slope are rounding residue of large opposing terms
+    cfg = InterferometerConfig.balanced(3.0, 3.0, phi1=1e-3)
+    rep = phase_sensitivity(cfg, VAC, (1.0, -1.0, -1.0))
+    assert rep.delta_phi == np.inf
+    assert rep.variance == 0.0 and rep.derivative == 0.0
 
 
 def test_analytic_derivative_matches_numeric():
