@@ -256,18 +256,20 @@ def cmd_optimize(params, outdir, timestamp):
     res = optimize_weights(state, params["beta1"], params["beta2"],
                            params["phase_index"],
                            fixed_zero=params["fixed_zero"] or None)
-    print(f"point        = {', '.join(_fmt(c) for c in res.point)}")
+    summary = {"command": "optimize", **params}
+    # with one free weight there is no ratio, so no point line
+    if res.point:
+        summary["point"] = ", ".join(_fmt(c) for c in res.point)
+        print(f"point        = {summary['point']}")
     print(f"value        = {_fmt(res.value)}")
     print(f"weights      = {_fmt(res.weights.w1)}, {_fmt(res.weights.w2)}, "
           f"{_fmt(res.weights.w3)}")
     print(f"evaluations  = {res.evaluations}")
     print(f"limit_status = {res.limit.status}")
-    summary = {"command": "optimize", **params,
-               "point": ", ".join(_fmt(c) for c in res.point),
-               "value": res.value,
-               "w1": res.weights.w1, "w2": res.weights.w2, "w3": res.weights.w3,
-               "evaluations": res.evaluations,
-               "limit_status": res.limit.status}
+    summary.update({"value": res.value,
+                    "w1": res.weights.w1, "w2": res.weights.w2, "w3": res.weights.w3,
+                    "evaluations": res.evaluations,
+                    "limit_status": res.limit.status})
     _write_summary(outdir, summary)
     return 0
 

@@ -11,7 +11,10 @@ cutoff and each gate is a phase, a real d^2 x d^2 basis change, a
 diagonal phase and the way back, applied to the state viewed as a
 (d, d, d) tensor -- the two-mode-gate tensor approach of Killoran et
 al., Strawberry Fields, Quantum 3, 129 (2019).  The phase stage is
-diagonal.
+diagonal.  vacuum_k_variance applies K_i to that tensor by index shifts
+of the ladder, so the module needs numpy alone; the sparse d^3 x d^3
+matrices of the K_i, Kronecker products of the truncated ladder, are
+kept in tests/test_fock_oracle.py as independent references.
 
 Truncation bookkeeping needs care.  A gate generated by a truncated
 Hermitian operator is *exactly* unitary on the truncated grid, so the
@@ -30,11 +33,10 @@ shell mass sits around 1e-9; a gain of beta = 2 pushes milliprobability
 onto the wall and trips the guard by orders of magnitude, as it should.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln
 
 from .gaussian import InputState, photon_statistics, propagate
 from .interferometer import InterferometerConfig
@@ -45,20 +47,6 @@ class LeakageExceeded(RuntimeError):
     """Truncation loss above the guard threshold; results would be unreliable."""
 
 
-def _ladder(d):
-    return sp.diags(np.sqrt(np.arange(1.0, d)), 1, format="csr")
-
-
-def _mode_operators(d):
-    """Annihilation operators (A1, A2, A3) on the d^3 grid."""
-    a = _ladder(d)
-    eye = sp.identity(d, format="csr")
-    A1 = sp.kron(sp.kron(a, eye), eye, format="csr")
-    A2 = sp.kron(sp.kron(eye, a), eye, format="csr")
-    A3 = sp.kron(sp.kron(eye, eye), a, format="csr")
-    return A1, A2, A3
-
-
 def _occupation_arrays(d):
     n = np.arange(d)
     n1 = np.repeat(n, d * d)
@@ -67,37 +55,61 @@ def _occupation_arrays(d):
     return n1, n2, n3
 
 
-def k_operator(i, cutoff):
-    """Generator K_i as a sparse Hermitian matrix at the given cutoff."""
-    A1, A2, A3 = _mode_operators(cutoff)
-    n1, n2, n3 = _occupation_arrays(cutoff)
+def _create(x, axis):
+    """a^dag of the mode on one axis of a (d, d, d) tensor.
+
+    The image of the top occupation falls off the grid, as under the
+    truncated ladder matrix.
+    """
+    x = np.moveaxis(x, axis, 0)
+    out = np.zeros_like(x)
+    out[1:] = np.sqrt(np.arange(1.0, len(x)))[:, None, None] * x[:-1]
+    return np.moveaxis(out, 0, axis)
+
+
+def _annihilate(x, axis):
+    """a of the mode on one axis of a (d, d, d) tensor."""
+    x = np.moveaxis(x, axis, 0)
+    out = np.zeros_like(x)
+    out[:-1] = np.sqrt(np.arange(1.0, len(x)))[:, None, None] * x[1:]
+    return np.moveaxis(out, 0, axis)
+
+
+def _apply_k(i, psi):
+    """K_i applied to a state given as a (d, d, d) tensor, mode m on axis m - 1.
+
+    Factors on different modes commute, also on the truncated grid, so
+    each product is applied factor by factor.
+    """
+    up, dn = _create, _annihilate
     if i == 1:
-        return 0.5 * (A1.conj().T @ A2.conj().T + A1 @ A2)
+        return 0.5 * (up(up(psi, 0), 1) + dn(dn(psi, 0), 1))
     if i == 2:
-        return -0.5j * (A1.conj().T @ A2.conj().T - A1 @ A2)
+        return -0.5j * (up(up(psi, 0), 1) - dn(dn(psi, 0), 1))
     if i == 3:
-        return 0.5 * (A1.conj().T @ A3.conj().T + A1 @ A3)
+        return 0.5 * (up(up(psi, 0), 2) + dn(dn(psi, 0), 2))
     if i == 4:
-        return -0.5j * (A1.conj().T @ A3.conj().T - A1 @ A3)
+        return -0.5j * (up(up(psi, 0), 2) - dn(dn(psi, 0), 2))
     if i == 5:
-        return -0.5 * (A2.conj().T @ A3 + A3.conj().T @ A2)
+        return -0.5 * (up(dn(psi, 2), 1) + up(dn(psi, 1), 2))
     if i == 6:
-        return -0.5j * (A2.conj().T @ A3 - A3.conj().T @ A2)
+        return -0.5j * (up(dn(psi, 2), 1) - up(dn(psi, 1), 2))
+    n1, n2, n3 = np.ogrid[:psi.shape[0], :psi.shape[1], :psi.shape[2]]
     if i == 7:
         # a2 a2^dag contributes n2 + 1
-        return sp.diags(0.5 * (n1 + n2 + 1.0), format="csr")
+        return 0.5 * (n1 + n2 + 1.0) * psi
     if i == 8:
-        return sp.diags((n1 - n2 + 2.0 * n3 + 1.0) / (2.0 * SQRT3), format="csr")
+        return (n1 - n2 + 2.0 * n3 + 1.0) / (2.0 * SQRT3) * psi
     raise ValueError(f"generator index must be 1..8, got {i}")
 
 
 def vacuum_k_variance(i, cutoff=14):
     """<K_i^2> - <K_i>^2 on the three-mode vacuum."""
-    K = k_operator(i, cutoff)
-    psi = np.zeros(cutoff ** 3, dtype=complex)
-    psi[0] = 1.0
-    m = np.real(np.vdot(psi, K @ psi))
-    m2 = np.real(np.vdot(K @ psi, K @ psi))
+    psi = np.zeros((cutoff,) * 3, dtype=complex)
+    psi[0, 0, 0] = 1.0
+    k_psi = _apply_k(i, psi)
+    m = np.real(np.vdot(psi, k_psi))
+    m2 = np.real(np.vdot(k_psi, k_psi))
     return m2 - m ** 2
 
 
@@ -131,8 +143,9 @@ class TruncatedFockSpace:
         d = cutoff
         # two-mode K1 = (a a + a^dag a^dag)/2 on the (d*d)-point grid of one
         # mode pair, real symmetric: K1 = V diag(lam) V^T
-        aa = sp.kron(_ladder(d), _ladder(d), format="csr")
-        self._lam, self._V = np.linalg.eigh((0.5 * (aa + aa.T)).toarray())
+        a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+        aa = np.kron(a, a)
+        self._lam, self._V = np.linalg.eigh(0.5 * (aa + aa.T))
         self._n1, self._n2, self._n3 = _occupation_arrays(d)
         top = cutoff - 1
         self._boundary = (
@@ -149,10 +162,11 @@ class TruncatedFockSpace:
         """
         d = self.cutoff
         n = np.arange(d)
+        root_factorial = np.sqrt(np.exp([math.lgamma(k + 1.0) for k in n]))
         psi = None
         for al in alphas:
             al = complex(al)
-            v = np.exp(-0.5 * abs(al) ** 2) * al ** n / np.sqrt(np.exp(gammaln(n + 1.0)))
+            v = np.exp(-0.5 * abs(al) ** 2) * al ** n / root_factorial
             psi = v if psi is None else np.kron(psi, v)
         psi = psi.astype(complex)
         deficit = 1.0 - float(np.vdot(psi, psi).real)

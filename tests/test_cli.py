@@ -1,8 +1,14 @@
 """End-to-end command-line checks: exit codes, file layout, summary keys."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import su12sim
 from su12sim.cli import main
 
 
@@ -145,6 +151,44 @@ def test_optimize_bright_port3_is_finite(tmp_path):
     assert s["limit_status"] == "ok"
     assert s["w3"] == "0"
     assert np.isclose(float(s["value"]), 0.012073300910583711, rtol=1e-12)
+
+
+def test_optimize_one_free_weight_writes_no_empty_value(tmp_path, capsys):
+    # lit port 3 and pinned port 1 leave only w2, so there is no ratio
+    rc = main(["optimize", "--set", "port=3", "--set", "alpha_abs=2",
+               "--set", "fixed_zero=1", "--out", str(tmp_path), "--no-timestamp"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    s = read_summary(tmp_path / "summary.txt")
+    assert all(s.values()), s
+    assert "point" not in s
+    assert all(line.partition(" = ")[2] for line in out.splitlines()), out
+    assert (s["w1"], s["w2"], s["w3"]) == ("0", "1", "0")
+
+
+# Fresh interpreters, so that modules the test suite imported do not count.
+_NO_SCIPY_PROGRAMS = {
+    "import": "import su12sim.cli",
+    "oracle-check-lie-verify": (
+        "import su12sim.cli\n"
+        "assert su12sim.cli.main(['oracle-check', '--set', 'trials=2',"
+        " '--out', OUT, '--no-timestamp']) == 0\n"
+        "assert su12sim.cli.main(['lie-verify', '--out', OUT]) == 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("program", _NO_SCIPY_PROGRAMS)
+def test_runtime_loads_no_scipy(tmp_path, program):
+    src = str(Path(su12sim.__file__).resolve().parent.parent)
+    code = (f"import json, sys\nsys.path.insert(0, {src!r})\nOUT = {str(tmp_path)!r}\n"
+            f"{_NO_SCIPY_PROGRAMS[program]}\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_figure4_argmin_is_first_cell_of_the_tie(tmp_path):

@@ -4,26 +4,72 @@ Gaussian pipeline."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln
 
 from su12sim.fock_oracle import (
     FockStateVector,
     LeakageExceeded,
     TruncatedFockSpace,
-    _mode_operators,
+    _apply_k,
     _occupation_arrays,
     compare_with_gaussian,
     conserved_difference_stats,
     estimator_stats_fock,
-    k_operator,
     mean_derivative_fock,
     photon_statistics_fock,
     vacuum_k_variance,
 )
 from su12sim.gaussian import InputState
 from su12sim.interferometer import InterferometerConfig
+from su12sim.lie import SQRT3
 from su12sim.sensitivity import closed_form_limit, mean_derivative
+
+
+# ---------------------------------------------------------------------------
+# Sparse references: the generators as d^3 x d^3 matrices built from
+# Kronecker products of the truncated ladder, independent of the tensor
+# index shifts and the dense two-mode K1 of the library.
+# ---------------------------------------------------------------------------
+
+def _ladder(d):
+    return sp.diags(np.sqrt(np.arange(1.0, d)), 1, format="csr")
+
+
+def _mode_operators(d):
+    """Annihilation operators (A1, A2, A3) on the d^3 grid."""
+    a = _ladder(d)
+    eye = sp.identity(d, format="csr")
+    A1 = sp.kron(sp.kron(a, eye), eye, format="csr")
+    A2 = sp.kron(sp.kron(eye, a), eye, format="csr")
+    A3 = sp.kron(sp.kron(eye, eye), a, format="csr")
+    return A1, A2, A3
+
+
+def k_operator(i, cutoff):
+    """Generator K_i as a sparse Hermitian matrix at the given cutoff."""
+    A1, A2, A3 = _mode_operators(cutoff)
+    n1, n2, n3 = _occupation_arrays(cutoff)
+    if i == 1:
+        return 0.5 * (A1.conj().T @ A2.conj().T + A1 @ A2)
+    if i == 2:
+        return -0.5j * (A1.conj().T @ A2.conj().T - A1 @ A2)
+    if i == 3:
+        return 0.5 * (A1.conj().T @ A3.conj().T + A1 @ A3)
+    if i == 4:
+        return -0.5j * (A1.conj().T @ A3.conj().T - A1 @ A3)
+    if i == 5:
+        return -0.5 * (A2.conj().T @ A3 + A3.conj().T @ A2)
+    if i == 6:
+        return -0.5j * (A2.conj().T @ A3 - A3.conj().T @ A2)
+    if i == 7:
+        # a2 a2^dag contributes n2 + 1
+        return sp.diags(0.5 * (n1 + n2 + 1.0), format="csr")
+    if i == 8:
+        return sp.diags((n1 - n2 + 2.0 * n3 + 1.0) / (2.0 * SQRT3), format="csr")
+    raise ValueError(f"generator index must be 1..8, got {i}")
 
 
 @pytest.mark.parametrize("i", range(1, 9))
@@ -39,6 +85,48 @@ def test_vacuum_generator_variances():
     # the diagonal generators do not fluctuate at all
     for i in (7, 8):
         assert np.isclose(vacuum_k_variance(i, 10), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("cutoff", [6, 14])
+@pytest.mark.parametrize("i", range(1, 9))
+def test_vacuum_variance_matches_sparse_reference(i, cutoff):
+    K = k_operator(i, cutoff)
+    psi = np.zeros(cutoff ** 3, dtype=complex)
+    psi[0] = 1.0
+    m = np.vdot(psi, K @ psi).real
+    m2 = np.vdot(psi, K @ (K @ psi)).real
+    assert abs(vacuum_k_variance(i, cutoff) - (m2 - m ** 2)) <= 1e-15
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_tensor_generator_action_matches_sparse_reference(i):
+    """Index shifts on the (d, d, d) tensor act as the sparse K_i on a
+    random state, including the top of the grid."""
+    d = 6
+    psi = _random_state(d, 3)
+    ref = k_operator(i, d) @ psi
+    got = _apply_k(i, psi.reshape(d, d, d)).reshape(d ** 3)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cutoff", [6, 14])
+def test_eigenbasis_equals_sparse_build(cutoff):
+    aa = sp.kron(_ladder(cutoff), _ladder(cutoff), format="csr")
+    lam, V = np.linalg.eigh((0.5 * (aa + aa.T)).toarray())
+    space = TruncatedFockSpace(cutoff)
+    assert np.array_equal(space._lam, lam)
+    assert np.array_equal(space._V, V)
+
+
+@pytest.mark.parametrize("cutoff", [14, 30])
+def test_coherent_vector_matches_gammaln_formula(cutoff):
+    """One-mode vectors, so each amplitude carries one factorial root."""
+    space = TruncatedFockSpace(cutoff)
+    n = np.arange(cutoff)
+    for al in (0.7, 0.4 - 0.3j, -0.2j, 2.5):
+        ref = np.exp(-0.5 * abs(al) ** 2) * al ** n / np.sqrt(np.exp(gammaln(n + 1.0)))
+        psi, _ = space.coherent_vector((al,))
+        assert np.max(np.abs(psi / ref - 1)) <= 1e-14, al
 
 
 def test_operator_brackets_on_the_grid():

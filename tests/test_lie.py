@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from su12sim.lie import (
     METRIC,
@@ -44,6 +45,16 @@ def test_closed_form_matches_exponential(i):
         S = group_element(i, a)
         E = exp_generator(i, a)
         assert np.allclose(S, E, atol=1e-12), (i, a)
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_exponential_matches_scipy_expm(i):
+    """The scaled and squared Taylor series against scipy's Pade expm; the
+    gains up to |alpha| = 10 take four squarings."""
+    for a in np.linspace(-10.0, 10.0, 81):
+        ref = expm(a * GENERATORS[i])
+        dev = np.max(np.abs(exp_generator(i, a) - ref)) / np.max(np.abs(ref))
+        assert dev <= 1e-14, (i, a, dev)
 
 
 @pytest.mark.parametrize("i", range(1, 9))
