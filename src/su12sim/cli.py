@@ -75,7 +75,8 @@ def _parse_config_file(path):
 
 # ranges of the integer parameters, checked in every subcommand that has them
 _RANGES = {"trials": (1, math.inf), "port": (0, 3), "phase_index": (1, 3),
-           "fixed_zero": (0, 3)}
+           "fixed_zero": (0, 3), "points": (1, math.inf),
+           "beta2_points": (1, math.inf), "alpha_points": (1, math.inf)}
 
 
 def _resolve_params(defaults, config_path, sets):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_DIAG = np.arange(3)
+
 
 @dataclass(frozen=True)
 class InputState:
@@ -76,16 +78,17 @@ class OutputMoments:
 def propagate(transform, state):
     """Output moments for a coherent-product input.
 
-    transform may be a 3x3 mode matrix or anything with a
-    total_matrix() method (e.g. InterferometerConfig).
+    transform may be a mode matrix, a stack of them (..., 3, 3), or
+    anything with a total_matrix() method (e.g. InterferometerConfig);
+    the moments then carry the same leading axes.
     """
     if hasattr(transform, "total_matrix"):
         transform = transform.total_matrix()
     A, B = from_mode_matrix(transform)
     alpha = state.alpha_vector
     mu = A @ alpha + B @ np.conj(alpha)
-    N = np.einsum("ik,jk->ij", np.conj(B), B)
-    M = np.einsum("ik,jk->ij", A, B)
+    N = np.einsum("...ik,...jk->...ij", np.conj(B), B)
+    M = np.einsum("...ik,...jk->...ij", A, B)
     return OutputMoments(mu=mu, N=N, M=M)
 
 
@@ -100,20 +103,25 @@ def photon_statistics(moments):
                         + 2 Re(mu_i^* mu_j N_ji)
                         + 2 Re(mu_i^* mu_j^* M_ij)
 
-    Returns (mean, cov) as real arrays of shapes (3,) and (3, 3).
+    Returns (mean, cov) as real arrays of shapes (..., 3) and (..., 3, 3).
     """
     mu, N, M = moments.mu, moments.N, moments.M
-    mean = np.real(np.diag(N)) + np.abs(mu) ** 2
+    mu_conj = np.conj(mu)
+    mean = np.real(np.diagonal(N, axis1=-2, axis2=-1)) + np.abs(mu) ** 2
     cov = np.abs(N) ** 2 + np.abs(M) ** 2
-    cov += np.diag(mean)
-    cov += 2.0 * np.real(np.conj(mu)[:, None] * mu[None, :] * N.T)
-    cov += 2.0 * np.real(
-        np.conj(mu)[:, None] * np.conj(mu)[None, :] * M
-    )
+    cov[..., _DIAG, _DIAG] += mean
+    cov += 2.0 * np.real(mu_conj[..., :, None] * mu[..., None, :] * np.swapaxes(N, -1, -2))
+    cov += 2.0 * np.real(mu_conj[..., :, None] * mu_conj[..., None, :] * M)
     return mean, cov
 
 
 def estimator_stats(mean, cov, weights):
-    """Mean and variance of the weighted photon-number sum w . n."""
+    """Mean and variance of the weighted photon-number sum w . n.
+
+    mean (..., 3) and cov (..., 3, 3) may be stacks; both results have the
+    stack's shape, and the variance is reduced as (w C) . w.  np.vecdot
+    takes one dot product per element, the one w @ x takes on a single
+    vector, so a stack reproduces single-vector calls bit for bit.
+    """
     w = np.asarray(weights, dtype=float)
-    return float(w @ mean), float(w @ cov @ w)
+    return np.vecdot(mean, w), np.vecdot(w @ cov, w)

@@ -16,6 +16,12 @@ hyperbolic rotation by beta/2 in its mode pair; the phase stage is
 diagonal.  The total transform is the chronological matrix product and
 is always pseudo-unitary (see lie.METRIC).
 
+The internal phases may be arrays: they broadcast against each other, and
+the phase stage, the stage list and the total transform then come as
+stacks of shape (..., 3, 3), one matrix per configuration.  The gains and
+pump phases stay scalars, so the mixers are single 3x3 matrices that
+broadcast over the stack.  A scalar configuration is the shape-() case.
+
 In the balanced configuration (beta4 = beta1, beta3 = beta2, recombiner
 pump phases shifted by pi, all internal phases zero) the cascade undoes
 itself and the total matrix is the identity, which is the working point
@@ -47,18 +53,20 @@ def fwm_matrix(beta, theta, pair="12"):
 
 
 def phase_matrix(phi1, phi2, phi3):
-    """Diagonal phase stage on (a1, a2^dag, a3^dag).
+    """Diagonal phase stage on (a1, a2^dag, a3^dag), shape (..., 3, 3).
 
-    The conjugate-mode entries pick up the opposite sign because the
-    vector carries creation operators in slots 2 and 3.
+    The phases broadcast against each other.  The conjugate-mode entries
+    pick up the opposite sign because the vector carries creation
+    operators in slots 2 and 3.
     """
-    return np.diag(
-        [np.exp(1j * phi1), np.exp(-1j * phi2), np.exp(-1j * phi3)]
-    ).astype(complex)
+    diag = np.exp(1j * phi1), np.exp(-1j * phi2), np.exp(-1j * phi3)
+    P = np.zeros((*np.broadcast(*diag).shape, 3, 3), dtype=complex)
+    P[..., 0, 0], P[..., 1, 1], P[..., 2, 2] = diag
+    return P
 
 
 def chronological_product(mats):
-    """Product of stage matrices listed first-applied first.
+    """Product of stage matrices (or stacks of them) listed first-applied first.
 
     Each stage multiplies from the left, S = S_n (... (S_2 S_1)); the
     association order is part of the result's last bits.
@@ -115,17 +123,17 @@ class InterferometerConfig:
             ("fwm", self.beta4, self.theta4, "12"),
         ]
 
+    def mixer_matrices(self):
+        """The four mixers' 3x3 matrices, first applied first."""
+        return [fwm_matrix(st[1], st[2], st[3]) for st in self.stages() if st[0] == "fwm"]
+
     def stage_matrices(self):
-        mats = []
-        for st in self.stages():
-            if st[0] == "fwm":
-                mats.append(fwm_matrix(st[1], st[2], st[3]))
-            else:
-                mats.append(phase_matrix(st[1], st[2], st[3]))
-        return mats
+        """Matrices of stages(): the phase stage is a stack when the phases are."""
+        S1, S2, S3, S4 = self.mixer_matrices()
+        return [S1, S2, phase_matrix(self.phi1, self.phi2, self.phi3), S3, S4]
 
     def total_matrix(self):
-        """Full input->output mode transform (chronological product)."""
+        """Full input->output mode transform (chronological product), (..., 3, 3)."""
         return chronological_product(self.stage_matrices())
 
     def mid_matrix(self):

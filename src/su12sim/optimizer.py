@@ -112,17 +112,19 @@ def phase_surface(beta1, beta2, weights=(1.0, 0.0, 1.0), phi1=1e-3,
                   phi_lo=-np.pi, phi_hi=np.pi, points=61, state=None):
     """dphi_1 over a (phi2, phi3) grid at a small fixed probe phase phi1.
 
-    Rows are (phi2, phi3, dphi1) in row-major phi2-outer order.
+    Rows are (phi2, phi3, dphi1) in row-major phi2-outer order.  Each phi2
+    row is one stacked phase_sensitivity call over the phi3 axis, which
+    keeps the working arrays at one row's size; every cell equals the
+    call on its own configuration.
     """
     if state is None:
         state = InputState.vacuum()
     axis = np.linspace(phi_lo, phi_hi, points)
     rows = []
     for p2 in axis:
-        for p3 in axis:
-            cfg = InterferometerConfig.balanced(beta1, beta2, phi1, float(p2), float(p3))
-            rep = phase_sensitivity(cfg, state, weights, 1)
-            rows.append((float(p2), float(p3), rep.delta_phi))
+        cfg = InterferometerConfig.balanced(beta1, beta2, phi1, float(p2), axis)
+        dphi = phase_sensitivity(cfg, state, weights, 1).delta_phi
+        rows.extend((float(p2), float(p3), float(d)) for p3, d in zip(axis, dphi))
     return rows
 
 

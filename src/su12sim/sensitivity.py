@@ -113,6 +113,12 @@ def _as_weight_array(weights):
     return np.asarray(weights, dtype=float)
 
 
+def _unstack(x):
+    """A Python float for one configuration, the array for a stack."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
 def _probe_slot(phase_index):
     """Index j of the probed phase-stage entry and its rate (dP_jj/dphi) / P_jj."""
     if phase_index not in (1, 2, 3):
@@ -122,7 +128,7 @@ def _probe_slot(phase_index):
 
 def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-5,
                             mats=None):
-    """d<n_i>/dphi_j for all three modes, as a real 3-vector.
+    """d<n_i>/dphi_j for all three modes, as a real array (..., 3).
 
     mats are the configuration's stage matrices, if already built.
     """
@@ -130,8 +136,8 @@ def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-
     if method == "numeric":
         phis = [config.phi1, config.phi2, config.phi3]
         up, dn = list(phis), list(phis)
-        up[j] += h
-        dn[j] -= h
+        up[j] = phis[j] + h
+        dn[j] = phis[j] - h
         mp, _ = photon_statistics(propagate(config.with_phases(*up), state))
         mm, _ = photon_statistics(propagate(config.with_phases(*dn), state))
         return (mp - mm) / (2.0 * h)
@@ -142,16 +148,16 @@ def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-
     # left-associated, unlike total_matrix: each product keeps its own
     # order because the last bits of every reported value depend on it
     S = S4 @ S3 @ P @ S2 @ S1
-    dP = np.zeros((3, 3), dtype=complex)
-    dP[j, j] = rate * P[j, j]
+    dP = np.zeros(P.shape, dtype=complex)
+    dP[..., j, j] = rate * P[..., j, j]
     dS = S4 @ S3 @ dP @ S2 @ S1
 
-    (A, dA), (B, dB) = from_mode_matrix(np.stack([S, dS]))
+    (A, dA), (B, dB) = from_mode_matrix(np.array([S, dS]))
     alpha = state.alpha_vector
     mu = A @ alpha + B @ np.conj(alpha)
     dmu = dA @ alpha + dB @ np.conj(alpha)
     # <n_i> = sum_k |B_ik|^2 + |mu_i|^2
-    dmean = 2.0 * np.sum(np.real(np.conj(B) * dB), axis=1)
+    dmean = 2.0 * np.sum(np.real(np.conj(B) * dB), axis=-1)
     dmean += 2.0 * np.real(np.conj(mu) * dmu)
     return dmean
 
@@ -161,16 +167,18 @@ def mean_derivative(config, state, weights, phase_index, method="analytic", h=1e
 
     method "analytic" differentiates the phase stage inside the matrix
     product and pushes the derivative through the Bogoliubov split;
-    "numeric" uses a central difference with step h.
+    "numeric" uses a central difference with step h.  A configuration
+    with stacked phases gives an array of the stack's shape.
     """
     w = _as_weight_array(weights)
     dmean = _mean_vector_derivative(config, state, phase_index, method, h)
-    return float(w @ dmean)
+    return _unstack(np.vecdot(dmean, w))
 
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Estimator statistics and resulting phase sensitivity at one point."""
+    """Estimator statistics and resulting phase sensitivity at one point
+    (floats), or at each configuration of a stack (arrays)."""
 
     delta_phi: float
     mean: float
@@ -188,24 +196,26 @@ def phase_sensitivity(config, state, weights, phase_index=1):
     photon-number difference, whose variance and slope are zero up to
     rounding of large opposing terms -- are reported as signal-free
     instead of returning ratios of rounding noise.
+
+    A configuration whose phases are arrays is a stack of configurations:
+    every field of the report is then an array of the phases' broadcast
+    shape, each element equal to the call on that one configuration.
     """
     mats = config.stage_matrices()
     mean_vec, cov = photon_statistics(propagate(chronological_product(mats), state))
     dmean = _mean_vector_derivative(config, state, phase_index, mats=mats)
     w = _as_weight_array(weights)
+    w_abs = np.abs(w)
     mean, var = estimator_stats(mean_vec, cov, w)
-    gross_var = float(np.abs(w) @ np.abs(cov) @ np.abs(w))
-    if abs(var) <= NO_SIGNAL_RTOL * gross_var:
-        var = 0.0
-    d = float(w @ dmean)
-    gross_d = float(np.abs(w) @ np.abs(dmean))
-    if abs(d) <= NO_SIGNAL_RTOL * gross_d:
-        d = 0.0
-    if d == 0.0 or not math.isfinite(d):
-        dp = math.inf
-    else:
-        dp = math.sqrt(max(var, 0.0)) / abs(d)
-    return SensitivityReport(delta_phi=dp, mean=mean, variance=var, derivative=d)
+    # variance and slope w . d, each beside its gross magnitude
+    value = np.array([var, np.vecdot(dmean, w)])
+    bound = np.array([np.vecdot(w_abs @ np.abs(cov), w_abs), np.vecdot(np.abs(dmean), w_abs)])
+    var, d = np.where(np.abs(value) <= NO_SIGNAL_RTOL * bound, 0.0, value)
+    signal = np.isfinite(d) & (d != 0.0)
+    dp = np.divide(np.sqrt(np.maximum(var, 0.0)), np.abs(d),
+                   out=np.full(signal.shape, math.inf), where=signal)
+    return SensitivityReport(delta_phi=_unstack(dp), mean=_unstack(mean),
+                             variance=_unstack(var), derivative=_unstack(d))
 
 
 @dataclass(frozen=True)
@@ -232,7 +242,7 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
     Row 1 of each repeats row 0's computation on the moduli of all
     inputs: a cancellation-free bound.
     """
-    S1, S2, _, S3, S4 = InterferometerConfig.balanced(beta1, beta2).stage_matrices()
+    S1, S2, S3, S4 = InterferometerConfig.balanced(beta1, beta2).mixer_matrices()
     j, rate = _probe_slot(phase_index)
     S = np.zeros((2, SERIES_ORDER + 1, 3, 3), dtype=complex)
     S[:, 0] = _EYE

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, file layout, summary keys."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -87,6 +88,18 @@ def test_fixed_zero_out_of_range_is_usage_error(tmp_path, capsys, fixed_zero):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "fixed_zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure,key", [
+    ("3", "points"), ("4", "points"), ("5", "points"), ("8", "points"),
+    *((n, k) for n in ("6", "7") for k in ("beta2_points", "alpha_points")),
+])
+@pytest.mark.parametrize("value", [0, -3])
+def test_empty_grid_is_usage_error(tmp_path, capsys, figure, key, value):
+    rc = main(["figure", figure, "--set", f"{key}={value}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / f"fig{figure}.csv").exists()
 
 
 _SEARCH_COMMANDS = {"optimize": ["optimize"], "figure4": ["figure", "4"],
@@ -216,6 +229,18 @@ def test_figure3_csv_layout(tmp_path):
     s = read_summary(tmp_path / "summary.txt")
     assert float(s["min_phi2"]) == 0.0
     assert float(s["min_phi3"]) == 0.0
+
+
+# sha256 of the default `figure 3 --no-timestamp` fig3.csv, recorded when
+# each cell was still its own scalar phase_sensitivity call
+FIG3_DEFAULT_SHA256 = "90ed9f090fa0e1d1ce457e037b51db9eed9806896d50c73179eca2eda20342a7"
+
+
+def test_figure3_default_csv_bytes_are_pinned(tmp_path):
+    rc = main(["figure", "3", "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    data = (tmp_path / "fig3.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIG3_DEFAULT_SHA256
 
 
 def test_figure3_rejects_zero_gain(tmp_path):

@@ -125,6 +125,22 @@ def test_propagate_accepts_config_or_matrix():
     assert np.allclose(m1, m2, atol=1e-14)
 
 
+def test_stacked_transforms_give_stacked_moments():
+    rng = np.random.default_rng(41)
+    cfg = InterferometerConfig(0.7, 0.4, 0.9, 0.3, 0.2, 1.1, 2.0, 4.0,
+                               rng.uniform(0, 2 * np.pi, (2, 3)), 0.5, rng.uniform(0, 2 * np.pi, 3))
+    state = InputState((0.5, 0.2j, -0.3 + 0.1j))
+    moments = propagate(cfg, state)
+    assert moments.mu.shape == (2, 3, 3)
+    assert moments.N.shape == moments.M.shape == (2, 3, 3, 3)
+    mean, cov = photon_statistics(moments)
+    assert mean.shape == (2, 3, 3) and cov.shape == (2, 3, 3, 3)
+    S = cfg.total_matrix()
+    for idx in np.ndindex(2, 3):
+        m1, c1 = photon_statistics(propagate(S[idx], state))
+        assert np.array_equal(mean[idx], m1) and np.array_equal(cov[idx], c1)
+
+
 def test_estimator_stats_contract():
     mean = np.array([1.0, 2.0, 3.0])
     cov = np.diag([0.5, 0.25, 1.0])

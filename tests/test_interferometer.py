@@ -98,3 +98,18 @@ def test_mid_matrix_is_first_two_stages():
     m1 = fwm_matrix(cfg.beta1, cfg.theta1, "12")
     m2 = fwm_matrix(cfg.beta2, cfg.theta2, "13")
     assert np.allclose(cfg.mid_matrix(), m2 @ m1, atol=1e-14)
+
+
+def test_phase_arrays_give_stacks_of_group_members():
+    rng = np.random.default_rng(31)
+    phi1, phi2, phi3 = rng.uniform(0, 2 * np.pi, 5), rng.uniform(0, 2 * np.pi, (4, 1)), 0.3
+    assert phase_matrix(phi1, phi2, phi3).shape == (4, 5, 3, 3)
+    cfg = InterferometerConfig(0.3, 0.5, 0.4, 0.6, 0.1, 0.2, 0.3, 0.4, phi1, phi2, phi3)
+    mats = cfg.stage_matrices()
+    assert [m.shape for m in mats] == [(3, 3), (3, 3), (4, 5, 3, 3), (3, 3), (3, 3)]
+    S = cfg.total_matrix()
+    assert S.shape == (4, 5, 3, 3)
+    assert np.all(is_pseudo_unitary(S)) and np.all(is_pseudo_unitary(mats[2]))
+    for i, j in np.ndindex(4, 5):
+        one = cfg.with_phases(phi1[j], phi2[i, 0], phi3)
+        assert np.array_equal(S[i, j], one.total_matrix())

@@ -71,6 +71,52 @@ def test_conserved_difference_is_signal_free_at_a_probe_point():
     assert rep.variance == 0.0 and rep.derivative == 0.0
 
 
+def _random_stack(rng, balanced):
+    """A configuration whose phases broadcast to a (4, 5) stack, with one
+    scalar configuration per element built from the same fields."""
+    b = rng.uniform(0.1, 3.0, 4)
+    phi1, phi2, phi3 = (rng.uniform(-np.pi, np.pi, 5), rng.uniform(-np.pi, np.pi, (4, 1)),
+                        rng.uniform(-np.pi, np.pi, (4, 5)))
+    if balanced:
+        cfg = InterferometerConfig.balanced(b[0], b[1], phi1, phi2, phi3)
+    else:
+        cfg = InterferometerConfig(*b, *rng.uniform(0.0, 2.0 * np.pi, 4), phi1, phi2, phi3)
+    phis = np.broadcast_arrays(phi1, phi2, phi3)
+    cells = {idx: cfg.with_phases(*(float(p[idx]) for p in phis))
+             for idx in np.ndindex(phis[0].shape)}
+    return cfg, cells
+
+
+@pytest.mark.parametrize("port", [0, 1, 2, 3])
+@pytest.mark.parametrize("balanced", [True, False])
+def test_stacked_sensitivity_equals_per_configuration_calls(port, balanced):
+    rng = np.random.default_rng(100 + 10 * port + balanced)
+    for trial in range(3):
+        cfg, cells = _random_stack(rng, balanced)
+        state = (VAC if port == 0 else
+                 InputState.coherent(port, complex(*rng.normal(0.0, 1.0, 2))))
+        phase_index = 1 + trial
+        for weights in (rng.normal(size=3), (1.0, -1.0, -1.0)):
+            rep = phase_sensitivity(cfg, state, weights, phase_index)
+            slopes = [mean_derivative(cfg, state, weights, phase_index, method)
+                      for method in ("analytic", "numeric")]
+            assert rep.delta_phi.shape == slopes[0].shape == slopes[1].shape == (4, 5)
+            for idx, one in cells.items():
+                single = phase_sensitivity(one, state, weights, phase_index)
+                assert (rep.delta_phi[idx], rep.mean[idx], rep.variance[idx],
+                        rep.derivative[idx]) == (single.delta_phi, single.mean,
+                                                 single.variance, single.derivative)
+                assert isinstance(single.delta_phi, float)
+                for method, slope in zip(("analytic", "numeric"), slopes):
+                    assert slope[idx] == mean_derivative(one, state, weights,
+                                                         phase_index, method)
+        # the conserved difference carries no signal anywhere in the stack
+        rep = phase_sensitivity(cfg, state, (1.0, -1.0, -1.0), phase_index)
+        assert np.all(rep.delta_phi == np.inf) and np.all(rep.derivative == 0.0)
+        if port == 0:
+            assert np.all(rep.variance == 0.0)
+
+
 def test_analytic_derivative_matches_numeric():
     cfg = InterferometerConfig.balanced(2.0, 2.5, phi1=0.3, phi2=0.1)
     state = InputState.coherent(1, 0.4 + 0.2j)
