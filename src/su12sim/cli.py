@@ -75,8 +75,10 @@ def _parse_config_file(path):
 
 # ranges of the integer parameters, checked in every subcommand that has them
 _RANGES = {"trials": (1, math.inf), "port": (0, 3), "phase_index": (1, 3),
-           "fixed_zero": (0, 3), "points": (1, math.inf),
+           "fixed_zero": (0, 3), "points": (1, math.inf), "cutoff": (2, math.inf),
            "beta2_points": (1, math.inf), "alpha_points": (1, math.inf)}
+# allowed values of the choice-valued string parameters, checked likewise
+_CHOICES = {"sweep": ("fix_beta1", "fix_beta2", "diagonal"), "panel": ("a", "b", "c", "d")}
 
 
 def _resolve_params(defaults, config_path, sets):
@@ -105,6 +107,9 @@ def _resolve_params(defaults, config_path, sets):
     for k, (lo, hi) in _RANGES.items():
         if k in params and not lo <= params[k] <= hi:
             raise UsageError(f"{k} = {params[k]} is outside [{lo}, {hi}]")
+    for k, choices in _CHOICES.items():
+        if k in params and params[k] not in choices:
+            raise UsageError(f"{k} must be one of {', '.join(choices)}; got {params[k]!r}")
     return params
 
 
@@ -358,17 +363,17 @@ def cmd_figure(n, params, outdir, timestamp):
                           params["beta2_points"])
         als = np.linspace(params["alpha_lo"], params["alpha_hi"],
                           params["alpha_points"])
-        beta1 = None if params["beta1"] == "diag" else float(params["beta1"])
+        try:
+            beta1 = None if params["beta1"] == "diag" else float(params["beta1"])
+        except ValueError:
+            raise UsageError(f"beta1 must be 'diag' or a number, got {params['beta1']!r}")
         rows = optimal_ratio_surface(port, b2s, als, beta1=beta1)
         header = ("beta2", "alpha_abs", "opt_ratio")
         corner = [r for r in rows if r[0] == b2s[-1] and r[1] == als[0]]
         if corner:
             summary["corner_ratio"] = corner[0][2]
     elif n == 8:
-        panel = params["panel"]
-        if panel not in _FIG8_PANELS:
-            raise UsageError(f"panel must be one of a, b, c, d; got {panel!r}")
-        port, w, sweep, fixed, lo_d, hi_d = _FIG8_PANELS[panel]
+        port, w, sweep, fixed, lo_d, hi_d = _FIG8_PANELS[params["panel"]]
         lo = params["lo"] if not math.isnan(params["lo"]) else lo_d
         hi = params["hi"] if not math.isnan(params["hi"]) else hi_d
         samples = np.linspace(lo, hi, params["points"])

@@ -84,7 +84,11 @@ def propagate(transform, state):
     """
     if hasattr(transform, "total_matrix"):
         transform = transform.total_matrix()
-    A, B = from_mode_matrix(transform)
+    return moments_from_blocks(*from_mode_matrix(transform), state)
+
+
+def moments_from_blocks(A, B, state):
+    """Output moments of a_out = A a + B a^dag for a coherent-product input."""
     alpha = state.alpha_vector
     mu = A @ alpha + B @ np.conj(alpha)
     N = np.einsum("...ik,...jk->...ij", np.conj(B), B)

@@ -109,21 +109,19 @@ def optimize_weights(state, beta1, beta2, phase_index=1, *, fixed_zero=None):
 # ---------------------------------------------------------------------------
 
 def phase_surface(beta1, beta2, weights=(1.0, 0.0, 1.0), phi1=1e-3,
-                  phi_lo=-np.pi, phi_hi=np.pi, points=61, state=None):
-    """dphi_1 over a (phi2, phi3) grid at a small fixed probe phase phi1.
+                  phi_lo=-np.pi, phi_hi=np.pi, points=61):
+    """dphi_1 over a (phi2, phi3) grid at a small fixed probe phase phi1, on vacuum.
 
     Rows are (phi2, phi3, dphi1) in row-major phi2-outer order.  Each phi2
     row is one stacked phase_sensitivity call over the phi3 axis, which
     keeps the working arrays at one row's size; every cell equals the
     call on its own configuration.
     """
-    if state is None:
-        state = InputState.vacuum()
     axis = np.linspace(phi_lo, phi_hi, points)
     rows = []
     for p2 in axis:
         cfg = InterferometerConfig.balanced(beta1, beta2, phi1, float(p2), axis)
-        dphi = phase_sensitivity(cfg, state, weights, 1).delta_phi
+        dphi = phase_sensitivity(cfg, InputState.vacuum(), weights, 1).delta_phi
         rows.extend((float(p2), float(p3), float(d)) for p3, d in zip(axis, dphi))
     return rows
 
@@ -184,9 +182,8 @@ def scaling_curve(sweep, samples, partner=3.0, weights=(1.0, 0.0, 1.0),
     return rows
 
 
-def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None,
-                          phase_index=1):
-    """Optimal free weight ratio over a (beta2, |alpha|) grid.
+def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None):
+    """Optimal free weight ratio of the first phase over a (beta2, |alpha|) grid.
 
     port 1 pins the bright-port weight to zero and reports r/t; port 3
     pins the third weight and reports t/s.  beta1 = None runs on the
@@ -203,7 +200,7 @@ def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None,
             a = float(a)
             state = InputState.coherent(port, a) if a != 0.0 else InputState.vacuum()
             try:
-                res = optimize_weights(state, b1, b2, phase_index, fixed_zero=port)
+                res = optimize_weights(state, b1, b2, fixed_zero=port)
                 ratio = res.point[0]
             except AllDivergentError:
                 ratio = math.nan

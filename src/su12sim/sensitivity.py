@@ -9,6 +9,12 @@ evaluated at a working point of the cascade.  It depends on the
 configuration only through the photocount covariance C and the slope
 vector d = d<n>/dphi_j: dphi_j = sqrt(w C w) / |w . d|.
 
+The slope is exact.  With R = S2 S1 the splitters, L = S4 S3 the
+recombiners and P the diagonal phase stage, the cascade is S = L P R, and
+only P_jj = exp(rate phi_j) moves with phi_j, so dS/dphi_j = rate P_jj
+L[:, j] R[j] is rank one.  phase_sensitivity and mean_derivative take it
+at a phase point, zero_phase_moments expands S(eps) in the same form.
+
 The quantity of interest is usually the limit of dphi_j as the probe
 phase goes to zero, taken in the balanced configuration where the
 cascade is self-cancelling.  Both the variance and the slope vanish
@@ -41,6 +47,7 @@ from .gaussian import (
     InputState,
     estimator_stats,
     from_mode_matrix,
+    moments_from_blocks,
     photon_statistics,
     propagate,
 )
@@ -119,60 +126,43 @@ def _unstack(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _probe_slot(phase_index):
-    """Index j of the probed phase-stage entry and its rate (dP_jj/dphi) / P_jj."""
+def _phase_probe(mixers, phase_index):
+    """Index j of the probed phase-stage entry, its rate (dP_jj/dphi_j) / P_jj
+    and outer(L[:, j], R[j]), with R = S2 S1 and L = S4 S3 from mixers S1..S4."""
     if phase_index not in (1, 2, 3):
         raise ValueError(f"phase index must be 1..3, got {phase_index}")
-    return phase_index - 1, (1j if phase_index == 1 else -1j)
+    S1, S2, S3, S4 = mixers
+    j = phase_index - 1
+    return j, (1j if phase_index == 1 else -1j), np.outer((S4 @ S3)[:, j], (S2 @ S1)[j])
 
 
-def _mean_vector_derivative(config, state, phase_index, method="analytic", h=1e-5,
-                            mats=None):
-    """d<n_i>/dphi_j for all three modes, as a real array (..., 3).
+def _moments_and_slope(config, state, phase_index):
+    """Output moments and the photocount slope d<n>/dphi_j, a real array
+    (..., 3), at the configuration's phase point.
 
-    mats are the configuration's stage matrices, if already built.
+    S is the chronological product of the stages.  The Bogoliubov split
+    is R-linear, so one split of [S, dS] gives (A, B) and their slopes.
     """
-    j, rate = _probe_slot(phase_index)
-    if method == "numeric":
-        phis = [config.phi1, config.phi2, config.phi3]
-        up, dn = list(phis), list(phis)
-        up[j] = phis[j] + h
-        dn[j] = phis[j] - h
-        mp, _ = photon_statistics(propagate(config.with_phases(*up), state))
-        mm, _ = photon_statistics(propagate(config.with_phases(*dn), state))
-        return (mp - mm) / (2.0 * h)
-    if method != "analytic":
-        raise ValueError(f"unknown derivative method {method!r}")
-
-    S1, S2, P, S3, S4 = config.stage_matrices() if mats is None else mats
-    # left-associated, unlike total_matrix: each product keeps its own
-    # order because the last bits of every reported value depend on it
-    S = S4 @ S3 @ P @ S2 @ S1
-    dP = np.zeros(P.shape, dtype=complex)
-    dP[..., j, j] = rate * P[..., j, j]
-    dS = S4 @ S3 @ dP @ S2 @ S1
-
-    (A, dA), (B, dB) = from_mode_matrix(np.array([S, dS]))
+    S1, S2, P, S3, S4 = mats = config.stage_matrices()
+    j, rate, LR = _phase_probe((S1, S2, S3, S4), phase_index)
+    dS = (rate * P[..., j, j])[..., None, None] * LR
+    (A, dA), (B, dB) = from_mode_matrix(np.array([chronological_product(mats), dS]))
+    out = moments_from_blocks(A, B, state)
     alpha = state.alpha_vector
-    mu = A @ alpha + B @ np.conj(alpha)
     dmu = dA @ alpha + dB @ np.conj(alpha)
     # <n_i> = sum_k |B_ik|^2 + |mu_i|^2
     dmean = 2.0 * np.sum(np.real(np.conj(B) * dB), axis=-1)
-    dmean += 2.0 * np.real(np.conj(mu) * dmu)
-    return dmean
+    dmean += 2.0 * np.real(np.conj(out.mu) * dmu)
+    return out, dmean
 
 
-def mean_derivative(config, state, weights, phase_index, method="analytic", h=1e-5):
-    """d<O>/dphi_j at the configuration's own phase point.
+def mean_derivative(config, state, weights, phase_index):
+    """Exact d<O>/dphi_j at the configuration's own phase point.
 
-    method "analytic" differentiates the phase stage inside the matrix
-    product and pushes the derivative through the Bogoliubov split;
-    "numeric" uses a central difference with step h.  A configuration
-    with stacked phases gives an array of the stack's shape.
+    A configuration with stacked phases gives an array of the stack's shape.
     """
-    w = _as_weight_array(weights)
-    dmean = _mean_vector_derivative(config, state, phase_index, method, h)
-    return _unstack(np.vecdot(dmean, w))
+    _, dmean = _moments_and_slope(config, state, phase_index)
+    return _unstack(np.vecdot(dmean, _as_weight_array(weights)))
 
 
 @dataclass(frozen=True)
@@ -201,9 +191,8 @@ def phase_sensitivity(config, state, weights, phase_index=1):
     every field of the report is then an array of the phases' broadcast
     shape, each element equal to the call on that one configuration.
     """
-    mats = config.stage_matrices()
-    mean_vec, cov = photon_statistics(propagate(chronological_product(mats), state))
-    dmean = _mean_vector_derivative(config, state, phase_index, mats=mats)
+    out, dmean = _moments_and_slope(config, state, phase_index)
+    mean_vec, cov = photon_statistics(out)
     w = _as_weight_array(weights)
     w_abs = np.abs(w)
     mean, var = estimator_stats(mean_vec, cov, w)
@@ -242,12 +231,11 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
     Row 1 of each repeats row 0's computation on the moduli of all
     inputs: a cancellation-free bound.
     """
-    S1, S2, S3, S4 = InterferometerConfig.balanced(beta1, beta2).mixer_matrices()
-    j, rate = _probe_slot(phase_index)
+    _, rate, LR = _phase_probe(InterferometerConfig.balanced(beta1, beta2).mixer_matrices(),
+                               phase_index)
     S = np.zeros((2, SERIES_ORDER + 1, 3, 3), dtype=complex)
     S[:, 0] = _EYE
-    S[0, 1:] = np.multiply.outer(np.cumprod(rate / _ORDERS[1:]),
-                                 np.outer((S4 @ S3)[:, j], (S2 @ S1)[j]))
+    S[0, 1:] = np.multiply.outer(np.cumprod(rate / _ORDERS[1:]), LR)
     S[1, 1:] = np.abs(S[0, 1:])
     a = state.alpha_vector
     alpha = np.array([a, np.abs(a)])

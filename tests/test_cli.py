@@ -118,6 +118,19 @@ def test_removed_search_keys_are_usage_errors(tmp_path, capsys, command, key):
     assert key.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [
+    (["figure", "6"], "beta1=abc"),
+    (["figure", "7"], "beta1=x"),
+    (["figure", "5"], "sweep=bogus"),
+    (["oracle-check"], "cutoff=1"),
+])
+def test_bad_parameter_value_is_usage_error(tmp_path, capsys, command, key):
+    rc = main([*command, "--set", key, "--out", str(tmp_path)])
+    assert rc == 2
+    assert key.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "summary.txt").exists()
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     rc = main(["sensitivity", "--set", "bogus=1", "--out", str(tmp_path)])
     assert rc == 2
@@ -231,9 +244,11 @@ def test_figure3_csv_layout(tmp_path):
     assert float(s["min_phi3"]) == 0.0
 
 
-# sha256 of the default `figure 3 --no-timestamp` fig3.csv, recorded when
-# each cell was still its own scalar phase_sensitivity call
-FIG3_DEFAULT_SHA256 = "90ed9f090fa0e1d1ce457e037b51db9eed9806896d50c73179eca2eda20342a7"
+# sha256 of the default `figure 3 --no-timestamp` fig3.csv, recorded when the
+# slope came from the rank-one derivative of the phase stage inside the
+# chronological product; the cells' values are checked against high-precision
+# references in tests/test_optimizer.py
+FIG3_DEFAULT_SHA256 = "7b65ff4cb51336163b073ff36cab2a52f5d5a8ac16370d09fde14ea8323ab9be"
 
 
 def test_figure3_default_csv_bytes_are_pinned(tmp_path):

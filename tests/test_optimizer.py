@@ -140,6 +140,28 @@ def test_phase_surface_minimum_at_origin():
     assert abs(best[0]) < 1e-12 and abs(best[1]) < 1e-12
 
 
+# cells (i2, i3) of the default 61 x 61 figure 3 grid (beta = 3, phi1 = 1e-3,
+# w = (1, 0, 1)) and their dphi1 from the same cascade in 60-digit mpmath
+# arithmetic, on the grid's float phases and theta3 = theta4 = float(pi)
+FIG3_CELLS_MPMATH = {
+    (30, 30): 0.01739837823386793407565961069110042017346,
+    (30, 31): 0.04972684403497934684358611754459556171781,
+    (0, 0): 2000.302264007173086891894893583633654462,
+    (20, 45): 0.972624662956483390983816717172764117639,
+    (45, 10): 1.988457204865021225523785602376128426915,
+    (59, 3): 7.634692920431407991031313287924501276661,
+}
+
+
+def test_phase_surface_cells_match_high_precision_values():
+    axis = np.linspace(-np.pi, np.pi, 61)
+    rows = phase_surface(3.0, 3.0)
+    for (i2, i3), ref in FIG3_CELLS_MPMATH.items():
+        phi2, phi3, dphi1 = rows[61 * i2 + i3]
+        assert (phi2, phi3) == (axis[i2], axis[i3])
+        assert dphi1 == pytest.approx(ref, rel=1e-13)
+
+
 def test_weight_surface_valley_is_degenerate():
     rows = weight_surface(VAC, 3.0, 3.0, bounds=(-1.0, 0.0), points=11)
     vals = {}
