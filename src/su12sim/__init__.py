@@ -5,12 +5,12 @@ __version__ = "0.1.0"
 from .interferometer import InterferometerConfig, fwm_matrix, phase_matrix
 from .gaussian import InputState, propagate, photon_statistics
 from .sensitivity import (
-    DetectorWeights,
     phase_sensitivity,
     zero_phase_moments,
     limit_from_moments,
     zero_phase_limit,
     n_total,
+    vacuum_invariant,
 )
 from .optimizer import optimize_weights
 
@@ -21,11 +21,11 @@ __all__ = [
     "InputState",
     "propagate",
     "photon_statistics",
-    "DetectorWeights",
     "phase_sensitivity",
     "zero_phase_moments",
     "limit_from_moments",
     "zero_phase_limit",
     "n_total",
+    "vacuum_invariant",
     "optimize_weights",
 ]

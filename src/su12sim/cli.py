@@ -264,16 +264,15 @@ def cmd_optimize(params, outdir, timestamp):
                            fixed_zero=params["fixed_zero"] or None)
     summary = {"command": "optimize", **params}
     # with one free weight there is no ratio, so no point line
-    if res.point:
-        summary["point"] = ", ".join(_fmt(c) for c in res.point)
+    if res.point.size:
+        summary["point"] = ", ".join(_fmt(c) for c in res.point.tolist())
         print(f"point        = {summary['point']}")
+    w1, w2, w3 = res.weights.tolist()
     print(f"value        = {_fmt(res.value)}")
-    print(f"weights      = {_fmt(res.weights.w1)}, {_fmt(res.weights.w2)}, "
-          f"{_fmt(res.weights.w3)}")
+    print(f"weights      = {_fmt(w1)}, {_fmt(w2)}, {_fmt(w3)}")
     print(f"evaluations  = {res.evaluations}")
     print(f"limit_status = {res.limit.status}")
-    summary.update({"value": res.value,
-                    "w1": res.weights.w1, "w2": res.weights.w2, "w3": res.weights.w3,
+    summary.update({"value": res.value, "w1": w1, "w2": w2, "w3": w3,
                     "evaluations": res.evaluations,
                     "limit_status": res.limit.status})
     _write_summary(outdir, summary)

@@ -84,16 +84,26 @@ def propagate(transform, state):
     """
     if hasattr(transform, "total_matrix"):
         transform = transform.total_matrix()
-    return moments_from_blocks(*from_mode_matrix(transform), state)
+    A, B = from_mode_matrix(transform)
+    return moments_from_blocks(A, B, mean_field(A, B, state))
 
 
-def moments_from_blocks(A, B, state):
-    """Output moments of a_out = A a + B a^dag for a coherent-product input."""
+def mean_field(A, B, state):
+    """First moments mu = A alpha + B alpha^* of a_out = A a + B a^dag."""
     alpha = state.alpha_vector
-    mu = A @ alpha + B @ np.conj(alpha)
+    return A @ alpha + B @ np.conj(alpha)
+
+
+def moments_from_blocks(A, B, mu):
+    """Output moments of a_out = A a + B a^dag with first moments mu."""
     N = np.einsum("...ik,...jk->...ij", np.conj(B), B)
     M = np.einsum("...ik,...jk->...ij", A, B)
     return OutputMoments(mu=mu, N=N, M=M)
+
+
+def photon_means(moments):
+    """Photon-number means <n_i> = N_ii + |mu_i|^2, a real array (..., 3)."""
+    return np.real(np.diagonal(moments.N, axis1=-2, axis2=-1)) + np.abs(moments.mu) ** 2
 
 
 def photon_statistics(moments):
@@ -111,7 +121,7 @@ def photon_statistics(moments):
     """
     mu, N, M = moments.mu, moments.N, moments.M
     mu_conj = np.conj(mu)
-    mean = np.real(np.diagonal(N, axis1=-2, axis2=-1)) + np.abs(mu) ** 2
+    mean = photon_means(moments)
     cov = np.abs(N) ** 2 + np.abs(M) ** 2
     cov[..., _DIAG, _DIAG] += mean
     cov += 2.0 * np.real(mu_conj[..., :, None] * mu[..., None, :] * np.swapaxes(N, -1, -2))

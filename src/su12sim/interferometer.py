@@ -16,11 +16,11 @@ hyperbolic rotation by beta/2 in its mode pair; the phase stage is
 diagonal.  The total transform is the chronological matrix product and
 is always pseudo-unitary (see lie.METRIC).
 
-The internal phases may be arrays: they broadcast against each other, and
-the phase stage, the stage list and the total transform then come as
-stacks of shape (..., 3, 3), one matrix per configuration.  The gains and
-pump phases stay scalars, so the mixers are single 3x3 matrices that
-broadcast over the stack.  A scalar configuration is the shape-() case.
+Every gain, pump phase and internal phase may be an array.  They
+broadcast against each other, and the mixers, the phase stage, the stage
+list and the total transform then come as stacks of shape (..., 3, 3),
+one matrix per configuration.  A scalar configuration is the shape-()
+case.
 
 In the balanced configuration (beta4 = beta1, beta3 = beta2, recombiner
 pump phases shifted by pi, all internal phases zero) the cascade undoes
@@ -34,22 +34,23 @@ import numpy as np
 
 
 def fwm_matrix(beta, theta, pair="12"):
-    """3x3 transform of a single four-wave mixer on (a1, a2^dag, a3^dag).
+    """Transform of a four-wave mixer on (a1, a2^dag, a3^dag), (..., 3, 3).
 
     pair selects which conjugate mode the bright mode 1 couples to:
-    "12" or "13".
+    "12" or "13".  beta and theta broadcast against each other.
     """
-    ch, sh = np.cosh(beta / 2.0), np.sinh(beta / 2.0)
+    # ch, and with it zero and one, take the broadcast shape of beta and theta
+    ch, sh = np.cosh(beta / 2.0) + 0.0 * theta, np.sinh(beta / 2.0)
     ep, em = np.exp(1j * theta), np.exp(-1j * theta)
+    zero, one = 0.0 * ch, 0.0 * ch + 1.0
     if pair == "12":
-        return np.array(
-            [[ch, em * sh, 0], [ep * sh, ch, 0], [0, 0, 1]], dtype=complex
-        )
-    if pair == "13":
-        return np.array(
-            [[ch, 0, em * sh], [0, 1, 0], [ep * sh, 0, ch]], dtype=complex
-        )
-    raise ValueError(f"pair must be '12' or '13', got {pair!r}")
+        rows = [[ch, em * sh, zero], [ep * sh, ch, zero], [zero, zero, one]]
+    elif pair == "13":
+        rows = [[ch, zero, em * sh], [zero, one, zero], [ep * sh, zero, ch]]
+    else:
+        raise ValueError(f"pair must be '12' or '13', got {pair!r}")
+    m = np.array(rows, dtype=complex)
+    return m.transpose((*range(2, m.ndim), 0, 1))
 
 
 def phase_matrix(phi1, phi2, phi3):
@@ -79,7 +80,7 @@ def chronological_product(mats):
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Gains, pump phases and internal phases of the four-FWM cascade."""
+    """Gains, pump phases and internal phases of the four-FWM cascade (floats or arrays)."""
 
     beta1: float
     beta2: float

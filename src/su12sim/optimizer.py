@@ -8,14 +8,15 @@ port, so any weight on the lit port diverges.  On the unlit ports, which
 are exactly the null space of C0, C1 vanishes too and the limit is
 sqrt(w C2 w) / |w . d1|.  The best weights maximise the generalised
 Rayleigh quotient (w . d1)^2 / w C2 w there, so optimize_weights solves
-C2 w = d1 on the unlit ports, in the least-squares sense with singular
-values below NO_SIGNAL_RTOL of the largest cut off.  That one solve
-covers the conserved difference (1, -1, -1), an exact null direction of
-C2 on vacuum; the rank-1 C2 of the second phase; and ports pinned to
-zero.  The zero-phase limit of the solution certifies it.
+C2 w = d1 on the unlit ports with the pseudo-inverse, singular values
+below NO_SIGNAL_RTOL of the largest cut off.  That one solve covers the
+conserved difference (1, -1, -1), an exact null direction of C2 on
+vacuum; the rank-1 C2 of the second phase; and ports pinned to zero.
+The zero-phase limit of the solution certifies it.
 
-The sweeps skip divergent cells (infinite or undefined sensitivity)
-rather than failing.
+Gain arrays are solved in one call, and the sweeps make one call per
+input state.  They skip divergent cells (infinite or undefined
+sensitivity) rather than failing.
 """
 
 import math
@@ -27,12 +28,12 @@ from .gaussian import InputState
 from .interferometer import InterferometerConfig
 from .sensitivity import (
     NO_SIGNAL_RTOL,
-    DetectorWeights,
     LimitResult,
+    _unstack,
     limit_from_moments,
     n_total,
     phase_sensitivity,
-    zero_phase_limit,
+    require_convergent,
     zero_phase_moments,
 )
 
@@ -45,16 +46,18 @@ class AllDivergentError(RuntimeError):
 class OptimizationResult:
     """Optimal weights and their exact zero-phase sensitivity.
 
-    point holds the ratios of the free weights, the later ones over the
-    first: (w2/w1, w3/w1) on vacuum with no port pinned; with one lit or
-    pinned port left out, r/t when it is port 1, r/s for port 2 and t/s
-    for port 3; () when one port is free.  A zero first free weight
-    makes the ratios infinite.  evaluations counts the weight vectors
-    evaluated (the one solution).
+    weights (..., 3) have +1 as their largest-magnitude entry.  point
+    (..., n_free - 1) holds the ratios of the free weights, the later ones
+    over the first: (w2/w1, w3/w1) on vacuum with no port pinned; with one
+    lit or pinned port left out, r/t when it is port 1, r/s for port 2 and
+    t/s for port 3; empty when one port is free.  A zero first free weight
+    makes the ratios infinite.  On a gain stack, limit holds arrays, and a
+    cell with no finite sensitivity is nan with status "divergent".
+    evaluations counts the weight vectors evaluated, one per cell.
     """
 
-    point: tuple
-    weights: DetectorWeights
+    point: np.ndarray
+    weights: np.ndarray
     limit: LimitResult
     evaluations: int
 
@@ -67,10 +70,11 @@ def optimize_weights(state, beta1, beta2, phase_index=1, *, fixed_zero=None):
     """Best zero-phase detection weights for the balanced cascade.
 
     The weight of a lit port is zero.  fixed_zero = 1, 2 or 3 pins that
-    port's weight to zero too and optimises the others.  Raises
-    ValueError for light in more than one port, whose slope has an
-    eps^0 term on every port (a different regime), and AllDivergentError
-    when no weights carry a finite sensitivity, as at zero gain.
+    port's weight to zero too and optimises the others.  Gain arrays are
+    solved cell by cell.  Raises ValueError for light in more than one
+    port, whose slope has an eps^0 term on every port (a different
+    regime), and AllDivergentError when no cell has weights with a finite
+    sensitivity, as at zero gain.
     """
     if fixed_zero not in (None, 1, 2, 3):
         raise ValueError(f"fixed_zero must be None or 1..3, got {fixed_zero}")
@@ -82,25 +86,29 @@ def optimize_weights(state, beta1, beta2, phase_index=1, *, fixed_zero=None):
     free = np.setdiff1d(np.arange(3), out)
     moments = zero_phase_moments(state, beta1, beta2, phase_index)
     cov, slope = moments
-    w = np.zeros(3)
-    w[free] = np.linalg.lstsq(cov[0, 2][np.ix_(free, free)], slope[0, 1][free],
-                              rcond=NO_SIGNAL_RTOL)[0]
-    divergent = f"no weights carry a finite sensitivity at beta = ({beta1}, {beta2})"
-    try:
-        weights = DetectorWeights(*w).normalized()
-    except ValueError:  # w* = 0: no slope on the free ports
-        raise AllDivergentError(divergent) from None
-    dphi, p, q = limit_from_moments(moments, weights.as_array())
-    if not math.isfinite(dphi):
-        raise AllDivergentError(divergent)
-    ratios = weights.as_array()[free]
+    c2 = cov[0, ..., 2, :, :][..., free[:, None], free]
+    w = np.zeros((*c2.shape[:-2], 3))
+    w[..., free] = (np.linalg.pinv(c2, rcond=NO_SIGNAL_RTOL)
+                    @ slope[0, ..., 1, :][..., free, None])[..., 0]
+    pivot = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        point = tuple(float(x) for x in ratios[1:] / ratios[0])
+        w = w / pivot  # w = 0, no slope on the free ports, gives nan
+    dphi, p, q = limit_from_moments(moments, w)
+    finite = np.isfinite(dphi)
+    if not finite.any():
+        raise AllDivergentError(
+            f"no weights carry a finite sensitivity at beta = ({beta1}, {beta2})")
+    w[~finite] = math.nan
+    ratios = w[..., free]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = ratios[..., 1:] / ratios[..., :1]
     return OptimizationResult(
         point=point,
-        weights=weights,
-        limit=LimitResult(float(dphi), "ok", (int(p), int(q))),
-        evaluations=1,
+        weights=w,
+        limit=LimitResult(_unstack(np.where(finite, dphi, math.nan)),
+                          _unstack(np.where(finite, "ok", "divergent")),
+                          (_unstack(p), _unstack(q))),
+        evaluations=finite.size,
     )
 
 
@@ -154,32 +162,27 @@ def scaling_curve(sweep, samples, partner=3.0, weights=(1.0, 0.0, 1.0),
     port (1..3) injects coherent light of modulus `amplitude` (or the
     sample itself for the "alpha" sweep); otherwise vacuum.  Each row is
     (sample, n_total, dphi for each requested phase index..., 1/n_total),
-    with divergent limits recorded as inf.
+    with divergent limits recorded as inf.  Each input state is one call
+    per phase index: a gain sweep has one state, an alpha sweep one per sample.
     """
-    rows = []
-    for x in samples:
-        x = float(x)
-        if sweep == "fix_beta1":
-            b1, b2, amp = partner, x, amplitude
-        elif sweep == "fix_beta2":
-            b1, b2, amp = x, partner, amplitude
-        elif sweep == "diagonal":
-            b1, b2, amp = x, x, amplitude
-        elif sweep == "alpha":
-            if port is None:
-                raise ValueError("alpha sweep needs a port")
-            b1, b2, amp = partner, partner, x
-        else:
-            raise ValueError(f"unknown sweep {sweep!r}")
-        state = InputState.coherent(port, amp) if port else InputState.vacuum()
-        cfg = InterferometerConfig.balanced(b1, b2)
-        n = n_total(cfg, state)
-        dphis = []
-        for j in phase_indices:
-            res = zero_phase_limit(state, b1, b2, weights, phase_index=j)
-            dphis.append(res.delta_phi)
-        rows.append((x, n, *dphis, 1.0 / n if n > 0 else math.inf))
-    return rows
+    x = np.asarray(samples, dtype=float)
+    gains = {"fix_beta1": (partner, x), "fix_beta2": (x, partner), "diagonal": (x, x),
+             "alpha": (partner, partner)}
+    if sweep not in gains:
+        raise ValueError(f"unknown sweep {sweep!r}")
+    if sweep == "alpha" and port is None:
+        raise ValueError("alpha sweep needs a port")
+    b1, b2 = gains[sweep]
+    states = ([InputState.coherent(port, a) for a in x] if sweep == "alpha" else
+              [InputState.coherent(port, amplitude) if port else InputState.vacuum()])
+    columns = [[n_total((b1, b2), s) for s in states]]
+    for j in phase_indices:
+        columns.append([require_convergent(*limit_from_moments(
+            zero_phase_moments(s, b1, b2, j), weights))[0] for s in states])
+    n, *dphis = (np.reshape(c, x.shape) for c in columns)
+    with np.errstate(divide="ignore"):
+        heisenberg = np.where(n > 0, 1.0 / n, math.inf)
+    return [tuple(row) for row in np.column_stack([x, n, *dphis, heisenberg]).tolist()]
 
 
 def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None):
@@ -192,17 +195,16 @@ def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None):
     """
     if port not in (1, 3):
         raise ValueError("ratio surfaces are defined for coherent port 1 or 3")
-    rows = []
-    for b2 in beta2_values:
-        b2 = float(b2)
-        b1 = b2 if beta1 is None else float(beta1)
-        for a in alpha_values:
-            a = float(a)
-            state = InputState.coherent(port, a) if a != 0.0 else InputState.vacuum()
-            try:
-                res = optimize_weights(state, b1, b2, fixed_zero=port)
-                ratio = res.point[0]
-            except AllDivergentError:
-                ratio = math.nan
-            rows.append((b2, a, ratio))
-    return rows
+    b2 = np.asarray(beta2_values, dtype=float)
+    alphas = np.asarray(alpha_values, dtype=float)
+    b1 = b2 if beta1 is None else float(beta1)
+    # one solve per |alpha| over the beta2 axis; the pinned port is the lit one
+    ratio = np.full((b2.size, alphas.size), math.nan)
+    for k, a in enumerate(alphas):
+        state = InputState.coherent(port, a) if a != 0.0 else InputState.vacuum()
+        try:
+            ratio[:, k] = optimize_weights(state, b1, b2, fixed_zero=port).point[..., 0]
+        except AllDivergentError:
+            pass
+    return [(x, a, r) for x, row in zip(b2.tolist(), ratio.tolist())
+            for a, r in zip(alphas.tolist(), row)]

@@ -24,6 +24,8 @@ Evaluating Derivatives, SIAM 2008, ch. 13).  zero_phase_moments computes
 the weight-free series C(eps) and d(eps) once per configuration,
 limit_from_moments applies a stack of weight vectors to them, and
 zero_phase_limit is the composition of the two for one weight vector.
+zero_phase_moments and n_total take gain arrays too; each cell of the
+stack equals the call on its own gains bit for bit.
 
 Some weight choices carry no signal at all.  The combination
 proportional to (1, -1, -1) measures the conserved photon-number
@@ -34,8 +36,8 @@ divergent rather than raising, so that parameter scans can skip them.
 
 On vacuum input the balanced cascade has a large degeneracy: the
 zero-phase sensitivity depends on the weights only through the single
-combination returned by DetectorWeights.vacuum_invariant, so whole
-lines in the weight plane share one sensitivity value.
+combination returned by vacuum_invariant, so whole lines in the weight
+plane share one sensitivity value.
 """
 
 import math
@@ -47,7 +49,9 @@ from .gaussian import (
     InputState,
     estimator_stats,
     from_mode_matrix,
+    mean_field,
     moments_from_blocks,
+    photon_means,
     photon_statistics,
     propagate,
 )
@@ -76,69 +80,40 @@ class NonConvergentLimitError(RuntimeError):
     """Zero-phase series neither has a finite limit nor diverges."""
 
 
-@dataclass(frozen=True)
-class DetectorWeights:
-    """Weights (w1, w2, w3) of the photon-number estimator."""
+def vacuum_invariant(weights):
+    """Combination (w1 - w2 + 2 w3) / (3 (w1 + w2)) of weights (..., 3).
 
-    w1: float
-    w2: float
-    w3: float
-
-    @classmethod
-    def from_ratios(cls, t_over_s, r_over_s):
-        """Weights (1, t/s, r/s) with the bright-port weight fixed to one."""
-        return cls(1.0, float(t_over_s), float(r_over_s))
-
-    def as_array(self):
-        return np.array([self.w1, self.w2, self.w3], dtype=float)
-
-    def normalized(self):
-        """Rescale so the largest-magnitude component becomes +1."""
-        w = self.as_array()
-        pivot = w[np.argmax(np.abs(w))]
-        if pivot == 0.0:
-            raise ValueError("cannot normalize all-zero weights")
-        return DetectorWeights(*(float(x) for x in w / pivot))
-
-    def vacuum_invariant(self):
-        """Combination (w1 - w2 + 2 w3) / (3 (w1 + w2)).
-
-        Vacuum-input zero-phase sensitivity of the balanced cascade is a
-        function of this value alone; weights sharing it are equivalent
-        detectors there.  Infinite for the conserved-difference family
-        w1 + w2 = 0.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(
-                np.divide(self.w1 - self.w2 + 2.0 * self.w3, 3.0 * (self.w1 + self.w2))
-            )
-
-
-def _as_weight_array(weights):
-    if isinstance(weights, DetectorWeights):
-        return weights.as_array()
-    return np.asarray(weights, dtype=float)
+    Vacuum-input zero-phase sensitivity of the balanced cascade is a
+    function of this value alone; weights sharing it are equivalent
+    detectors there.  Infinite for the conserved-difference family
+    w1 + w2 = 0.
+    """
+    w1, w2, w3 = np.moveaxis(np.asarray(weights, dtype=float), -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _unstack((w1 - w2 + 2.0 * w3) / (3.0 * (w1 + w2)))
 
 
 def _unstack(x):
-    """A Python float for one configuration, the array for a stack."""
+    """A Python scalar for one configuration, the array for a stack."""
     x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
+    return x.item() if x.ndim == 0 else x
 
 
 def _phase_probe(mixers, phase_index):
     """Index j of the probed phase-stage entry, its rate (dP_jj/dphi_j) / P_jj
-    and outer(L[:, j], R[j]), with R = S2 S1 and L = S4 S3 from mixers S1..S4."""
+    and the outer product of L[..., :, j] and R[..., j, :], with R = S2 S1 and
+    L = S4 S3 from mixers S1..S4 (single matrices or stacks)."""
     if phase_index not in (1, 2, 3):
         raise ValueError(f"phase index must be 1..3, got {phase_index}")
     S1, S2, S3, S4 = mixers
     j = phase_index - 1
-    return j, (1j if phase_index == 1 else -1j), np.outer((S4 @ S3)[:, j], (S2 @ S1)[j])
+    return j, (1j if phase_index == 1 else -1j), (
+        (S4 @ S3)[..., :, j, None] * (S2 @ S1)[..., None, j, :])
 
 
-def _moments_and_slope(config, state, phase_index):
-    """Output moments and the photocount slope d<n>/dphi_j, a real array
-    (..., 3), at the configuration's phase point.
+def _slope(config, state, phase_index):
+    """Blocks (A, B) of the cascade at the configuration's phase point, the
+    output mean field mu and the photocount slope d<n>/dphi_j, (..., 3).
 
     S is the chronological product of the stages.  The Bogoliubov split
     is R-linear, so one split of [S, dS] gives (A, B) and their slopes.
@@ -146,14 +121,12 @@ def _moments_and_slope(config, state, phase_index):
     S1, S2, P, S3, S4 = mats = config.stage_matrices()
     j, rate, LR = _phase_probe((S1, S2, S3, S4), phase_index)
     dS = (rate * P[..., j, j])[..., None, None] * LR
-    (A, dA), (B, dB) = from_mode_matrix(np.array([chronological_product(mats), dS]))
-    out = moments_from_blocks(A, B, state)
-    alpha = state.alpha_vector
-    dmu = dA @ alpha + dB @ np.conj(alpha)
+    (A, dA), (B, dB) = blocks = from_mode_matrix(np.array([chronological_product(mats), dS]))
+    mu, dmu = mean_field(*blocks, state)
     # <n_i> = sum_k |B_ik|^2 + |mu_i|^2
     dmean = 2.0 * np.sum(np.real(np.conj(B) * dB), axis=-1)
-    dmean += 2.0 * np.real(np.conj(out.mu) * dmu)
-    return out, dmean
+    dmean += 2.0 * np.real(np.conj(mu) * dmu)
+    return A, B, mu, dmean
 
 
 def mean_derivative(config, state, weights, phase_index):
@@ -161,8 +134,8 @@ def mean_derivative(config, state, weights, phase_index):
 
     A configuration with stacked phases gives an array of the stack's shape.
     """
-    _, dmean = _moments_and_slope(config, state, phase_index)
-    return _unstack(np.vecdot(dmean, _as_weight_array(weights)))
+    *_, dmean = _slope(config, state, phase_index)
+    return _unstack(np.vecdot(dmean, np.asarray(weights, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -191,9 +164,9 @@ def phase_sensitivity(config, state, weights, phase_index=1):
     every field of the report is then an array of the phases' broadcast
     shape, each element equal to the call on that one configuration.
     """
-    out, dmean = _moments_and_slope(config, state, phase_index)
-    mean_vec, cov = photon_statistics(out)
-    w = _as_weight_array(weights)
+    A, B, mu, dmean = _slope(config, state, phase_index)
+    mean_vec, cov = photon_statistics(moments_from_blocks(A, B, mu))
+    w = np.asarray(weights, dtype=float)
     w_abs = np.abs(w)
     mean, var = estimator_stats(mean_vec, cov, w)
     # variance and slope w . d, each beside its gross magnitude
@@ -224,53 +197,58 @@ class LimitResult:
 def zero_phase_moments(state, beta1, beta2, phase_index=1):
     """Weight-free series of photocount covariance and slope in the probe offset.
 
-    Returns (cov, slope): cov[:, k] is the coefficient of eps^k in the
-    covariance matrix (k <= SERIES_ORDER), slope[:, k] that of eps^k in
-    d<n>/dphi_j (k < SERIES_ORDER).  S(eps) = I + (exp(rate eps) - 1)
-    L[:, j] R[j] exactly, L and R the halves around the phase stage.
+    The gains broadcast against each other to a shape G.  Returns (cov,
+    slope) of shapes (2, *G, SERIES_ORDER + 1, 3, 3) and (2, *G,
+    SERIES_ORDER, 3): cov[:, ..., k, :, :] is the coefficient of eps^k in
+    the covariance matrix (k <= SERIES_ORDER), slope[:, ..., k, :] that of
+    eps^k in d<n>/dphi_j (k < SERIES_ORDER).  S(eps) = I + (exp(rate eps)
+    - 1) L[:, j] R[j] exactly, L and R the halves around the phase stage.
     Row 1 of each repeats row 0's computation on the moduli of all
     inputs: a cancellation-free bound.
     """
     _, rate, LR = _phase_probe(InterferometerConfig.balanced(beta1, beta2).mixer_matrices(),
                                phase_index)
-    S = np.zeros((2, SERIES_ORDER + 1, 3, 3), dtype=complex)
-    S[:, 0] = _EYE
-    S[0, 1:] = np.multiply.outer(np.cumprod(rate / _ORDERS[1:]), LR)
-    S[1, 1:] = np.abs(S[0, 1:])
+    S = np.zeros((2, *LR.shape[:-2], SERIES_ORDER + 1, 3, 3), dtype=complex)
+    S[..., 0, :, :] = _EYE
+    S[0, ..., 1:, :, :] = np.cumprod(rate / _ORDERS[1:])[:, None, None] * LR[..., None, :, :]
+    S[1, ..., 1:, :, :] = np.abs(S[0, ..., 1:, :, :])
     a = state.alpha_vector
     alpha = np.array([a, np.abs(a)])
 
     # propagate and photon_statistics on series
     A, B = from_mode_matrix(S)
-    mu = np.einsum("xkil,xl->xki", A, alpha) + np.einsum("xkil,xl->xki", B, np.conj(alpha))
-    N = np.einsum("abk,xail,xbjl->xkij", _CAUCHY, np.conj(B), B)
-    M = np.einsum("abk,xail,xbjl->xkij", _CAUCHY, A, B)
+    mu = (np.einsum("x...kil,xl->x...ki", A, alpha)
+          + np.einsum("x...kil,xl->x...ki", B, np.conj(alpha)))
+    N = np.einsum("abk,x...ail,x...bjl->x...kij", _CAUCHY, np.conj(B), B)
+    M = np.einsum("abk,x...ail,x...bjl->x...kij", _CAUCHY, A, B)
     mu_conj = np.conj(mu)
-    mu_mu = np.einsum("abk,xai,xbj->xkij", _CAUCHY, mu_conj, mu)
+    mu_mu = np.einsum("abk,x...ai,x...bj->x...kij", _CAUCHY, mu_conj, mu)
     mean = np.real(np.diagonal(N + mu_mu, axis1=-2, axis2=-1))
-    mu_mu_conj = np.einsum("abk,xai,xbj->xkij", _CAUCHY, mu_conj, mu_conj)
+    mu_mu_conj = np.einsum("abk,x...ai,x...bj->x...kij", _CAUCHY, mu_conj, mu_conj)
     cov = mean[..., None] * _EYE + np.real(
-        np.einsum("abk,xaij,xbij->xkij", _CAUCHY, np.conj(N), N)
-        + np.einsum("abk,xaij,xbij->xkij", _CAUCHY, np.conj(M), M)
-        + 2.0 * np.einsum("abk,xaij,xbji->xkij", _CAUCHY, mu_mu, N)
-        + 2.0 * np.einsum("abk,xaij,xbij->xkij", _CAUCHY, mu_mu_conj, M))
-    return cov, _ORDERS[1:, None] * mean[:, 1:]
+        np.einsum("abk,x...aij,x...bij->x...kij", _CAUCHY, np.conj(N), N)
+        + np.einsum("abk,x...aij,x...bij->x...kij", _CAUCHY, np.conj(M), M)
+        + 2.0 * np.einsum("abk,x...aij,x...bji->x...kij", _CAUCHY, mu_mu, N)
+        + 2.0 * np.einsum("abk,x...aij,x...bij->x...kij", _CAUCHY, mu_mu_conj, M))
+    return cov, _ORDERS[1:, None] * mean[..., 1:, :]
 
 
 def limit_from_moments(moments, weights):
     """Zero-phase sensitivity of every weight vector of a stack (..., 3).
 
-    moments is zero_phase_moments output.  Returns (delta_phi, p, q) of
-    the stack's shape: the leading orders p of the variance series V and
+    moments is zero_phase_moments output; a stack of weights broadcasts
+    against its stack of gains.  Returns (delta_phi, p, q) of the
+    broadcast shape: the leading orders p of the variance series V and
     q of the slope series D (SERIES_ORDER + 1 and SERIES_ORDER, their
     lengths, where a series has no nonzero coefficient), and delta_phi =
     sqrt(V_p) / |D_q| where p = 2q and V_p > 0, inf where p < 2q or the
     slope vanishes (divergent), nan otherwise (no finite nonzero limit).
     """
     cov, slope = moments
-    w = np.array([weights, np.abs(weights)])
-    value, bound = np.concatenate([np.einsum("x...i,xkij,x...j->x...k", w, cov, w),
-                                   np.einsum("x...i,xki->x...k", w, slope)], axis=-1)
+    w = np.asarray(weights, dtype=float)
+    w = np.array([w, np.abs(w)])
+    value, bound = np.concatenate([np.einsum("x...i,x...kij,x...j->x...k", w, cov, w),
+                                   np.einsum("x...i,x...ki->x...k", w, slope)], axis=-1)
     # first coefficient of V and of D that is not rounding residue of its bound
     nonzero = np.abs(value) > NO_SIGNAL_RTOL * bound
     orders = np.minimum.reduceat(np.where(nonzero, _SERIES_ORDERS, _SERIES_LENGTHS),
@@ -290,14 +268,23 @@ def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
     p = 2q; "divergent" with delta_phi = inf when p < 2q or the slope
     series vanishes.  Anything else raises NonConvergentLimitError.
     """
-    dphi, p, q = limit_from_moments(zero_phase_moments(state, beta1, beta2, phase_index),
-                                    _as_weight_array(weights))
+    dphi, p, q = require_convergent(*limit_from_moments(
+        zero_phase_moments(state, beta1, beta2, phase_index), weights))
     orders = None if q == SERIES_ORDER else (
         None if p > SERIES_ORDER else int(p), int(q))
-    if math.isnan(dphi):
-        raise NonConvergentLimitError(f"variance and slope series with leading "
-                                      f"orders {orders} have no finite nonzero limit")
     return LimitResult(float(dphi), "divergent" if math.isinf(dphi) else "ok", orders)
+
+
+def require_convergent(dphi, p, q):
+    """limit_from_moments output, or NonConvergentLimitError naming the orders
+    of its first cell with no finite nonzero limit (one with a slope and p > 2q)."""
+    bad = np.flatnonzero(np.isnan(dphi))
+    if bad.size:
+        p0, q0 = int(np.ravel(p)[bad[0]]), int(np.ravel(q)[bad[0]])
+        raise NonConvergentLimitError(
+            f"variance and slope series with leading orders "
+            f"{(None if p0 > SERIES_ORDER else p0, q0)} have no finite nonzero limit")
+    return dphi, p, q
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +340,15 @@ def n_total(config, state=None):
     judged: every photon present after the two splitter FWMs traverses
     the phase stage.  Accepts an InterferometerConfig (or a (beta1,
     beta2) pair, which is promoted to the balanced cascade) and an input
-    state, defaulting to vacuum.
+    state, defaulting to vacuum.  A float for one configuration; gain
+    arrays give an array of their broadcast shape.
     """
     if not hasattr(config, "mid_matrix"):
         beta1, beta2 = config
         config = InterferometerConfig.balanced(beta1, beta2)
     if state is None:
         state = InputState.vacuum()
-    out = propagate(config.mid_matrix(), state)
-    mean, _ = photon_statistics(out)
-    return float(np.sum(mean))
+    return _unstack(np.sum(photon_means(propagate(config.mid_matrix(), state)), axis=-1))
 
 
 def n_total_closed_form(beta1, beta2):

@@ -26,13 +26,13 @@ from su12sim.lie import (
 )
 from su12sim.optimizer import optimize_weights, optimal_ratio_surface, scaling_curve
 from su12sim.sensitivity import (
-    DetectorWeights,
     asymptote_high_gain,
     closed_form_limit,
     mean_derivative,
     n_total,
     n_total_closed_form,
     su11_benchmark,
+    vacuum_invariant,
     zero_phase_limit,
 )
 
@@ -123,7 +123,7 @@ def test_criterion_4_optimal_weight_ratios():
     t, r = res.point
     # the optimal detector at a small probe offset fixes the invariant of the line
     w_opt = _optimal_detector(InterferometerConfig.balanced(3.0, 3.0, 1e-3), VAC)
-    c = DetectorWeights(*w_opt).vacuum_invariant()
+    c = vacuum_invariant(w_opt)
     # weights (1, t, r) share the invariant c on (3c+1) t - 2 r + 3c - 1 = 0
     normal = np.array([3.0 * c + 1.0, -2.0])
     off_line = abs(normal @ (t, r) + 3.0 * c - 1.0) / np.linalg.norm(normal)

@@ -258,6 +258,28 @@ def test_figure3_default_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == FIG3_DEFAULT_SHA256
 
 
+# sha256 of the default `--no-timestamp` CSVs of the zero-phase figures,
+# recorded while their sweeps still made one scalar call per sample; the
+# gain-stacked calls that replaced the loops reproduce them byte for byte
+FIGURE_DEFAULT_SHA256 = {
+    ("4", None): "d9c0ea67ead47e577f8c14a23381b00695acb845aca93df184459abe80d307d3",
+    ("5", None): "b83ed0f7e5be2e1fe63e71513d782df277a5095193158625de16af3632e3c2d7",
+    ("8", "a"): "1de52e9e6ccc2d6766da5461954af12e5ecf1a44071c86f204f1ae238f3f054e",
+    ("8", "b"): "3b6a8ac815f27490f15cfa5b4ba03a6c06985e831a20e6328dfe75d2141c3a7b",
+    ("8", "c"): "f4bf78b1b33f8beb27fd066372f53025e178b11f98c670443a4fd4cdcff79e70",
+    ("8", "d"): "2a30d8cc8334732754376e0fe7f265a7eb0355274654178dd28ae34d27e12f6b",
+}
+
+
+@pytest.mark.parametrize("figure,panel", list(FIGURE_DEFAULT_SHA256))
+def test_zero_phase_figure_default_csv_bytes_are_pinned(tmp_path, figure, panel):
+    extra = ["--set", f"panel={panel}"] if panel else []
+    rc = main(["figure", figure, *extra, "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    data = (tmp_path / f"fig{figure}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIGURE_DEFAULT_SHA256[figure, panel]
+
+
 def test_figure3_rejects_zero_gain(tmp_path):
     rc = main([
         "figure", "3", "--set", "beta1=0", "--set", "beta2=0",

@@ -113,3 +113,29 @@ def test_phase_arrays_give_stacks_of_group_members():
     for i, j in np.ndindex(4, 5):
         one = cfg.with_phases(phi1[j], phi2[i, 0], phi3)
         assert np.array_equal(S[i, j], one.total_matrix())
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def test_gain_arrays_give_stacks_equal_to_scalar_calls():
+    betas = np.array([[0.0, 0.4, 2.5], [1.3, 3.0, 6.0]])
+    thetas = np.array([0.0, 1.3, np.pi])
+    for pair in ("12", "13"):
+        stack = fwm_matrix(betas, thetas, pair)
+        assert stack.shape == (2, 3, 3, 3)
+        assert np.all(is_pseudo_unitary(stack))
+        for i, j in np.ndindex(betas.shape):
+            one = fwm_matrix(betas[i, j], thetas[j], pair)
+            assert np.array_equal(_bits(stack[i, j]), _bits(one))
+        # a scalar gain broadcasts over an array of pump phases too
+        stack = fwm_matrix(1.3, thetas, pair)
+        for j in range(3):
+            assert np.array_equal(_bits(stack[j]), _bits(fwm_matrix(1.3, thetas[j], pair)))
+    cfg = InterferometerConfig.balanced(betas, 2.0, phi1=0.2)
+    assert cfg.total_matrix().shape == cfg.mid_matrix().shape == (2, 3, 3, 3)
+    for i, j in np.ndindex(betas.shape):
+        one = InterferometerConfig.balanced(betas[i, j], 2.0, phi1=0.2)
+        assert np.array_equal(_bits(cfg.total_matrix()[i, j]), _bits(one.total_matrix()))
+        assert np.array_equal(_bits(cfg.mid_matrix()[i, j]), _bits(one.mid_matrix()))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from su12sim.optimizer import (
     scaling_curve,
     weight_surface,
 )
-from su12sim.sensitivity import n_total, zero_phase_limit
+from su12sim.sensitivity import n_total, vacuum_invariant, zero_phase_limit
 
 VAC = InputState.vacuum()
 
@@ -36,7 +37,7 @@ def test_exact_optimum_beats_every_weight_surface_cell(state):
 def test_pinned_port_optimum_beats_dense_scan(fixed_zero):
     state = InputState.coherent(3, 2.0)
     res = optimize_weights(state, 3.0, 3.0, fixed_zero=fixed_zero)
-    assert res.weights.as_array()[fixed_zero - 1] == 0.0
+    assert res.weights[fixed_zero - 1] == 0.0
     for u in np.linspace(-6.0, 6.0, 2401):
         w = np.insert(np.array([1.0, u]), fixed_zero - 1, 0.0)
         scanned = zero_phase_limit(state, 3.0, 3.0, w).delta_phi
@@ -50,7 +51,7 @@ def test_bright_port_optimum_is_finite(port, phase_index):
     res = optimize_weights(InputState.coherent(port, 2.0), 3.0, 3.0, phase_index)
     assert res.limit.status == "ok"
     assert res.limit.orders == (2, 1)
-    assert res.weights.as_array()[port - 1] == 0.0
+    assert res.weights[port - 1] == 0.0
     if (port, phase_index) == (3, 1):
         # the probe-point solve with port 3 pinned had the limit 0.012073300910722399
         assert np.isclose(res.value, 0.012073300910583711, rtol=1e-12)
@@ -86,7 +87,7 @@ def test_vacuum_optimum_sits_in_the_valley():
     # 60 digits give 0.016600742013807367
     assert np.isclose(res.value, 0.01660074201380737, rtol=1e-12)
     assert np.allclose(res.point, (0.5, 0.5), atol=1e-9)
-    assert np.isclose(res.weights.vacuum_invariant(), 1 / 3, atol=1e-9)
+    assert np.isclose(vacuum_invariant(res.weights), 1 / 3, atol=1e-9)
     assert res.limit.status == "ok"
 
 
@@ -131,6 +132,49 @@ def test_port1_bright_input_prefers_equal_idler_weights():
 def test_no_gain_raises_all_divergent():
     with pytest.raises(AllDivergentError):
         optimize_weights(VAC, 0.0, 0.0)
+    # a stack raises only when every cell diverges
+    with pytest.raises(AllDivergentError):
+        optimize_weights(VAC, np.zeros(3), 0.0)
+    assert np.isnan(optimize_weights(VAC, np.array([0.0, 1.0]), 0.0).value[0])
+
+
+# (input, pinned port) cases: vacuum, a lit port pinned again, a lit port
+# with another one pinned
+SOLVE_CASES = [(VAC, None), (VAC, 3), (InputState.coherent(1, 2.0), 1),
+               (InputState.coherent(3, 0.5), None), (InputState.coherent(2, 1.0 + 1.0j), 3)]
+
+
+def test_optimal_weights_pivot_on_largest_magnitude():
+    for (state, fixed_zero), phase_index in itertools.product(SOLVE_CASES, (1, 2, 3)):
+        w = optimize_weights(state, 3.0, 2.0, phase_index, fixed_zero=fixed_zero).weights
+        assert w.shape == (3,)
+        assert w[np.argmax(np.abs(w))] == 1.0
+        pinned = [*np.flatnonzero(state.alpha_vector), *([fixed_zero - 1] if fixed_zero else [])]
+        assert all(w[k] == 0.0 for k in pinned)
+
+
+@pytest.mark.parametrize("state,fixed_zero", SOLVE_CASES)
+def test_gain_stacked_optimum_matches_per_configuration_calls(state, fixed_zero):
+    b1, b2 = np.meshgrid([0.0, 0.8, 3.0], [0.0, 2.0, 4.5], indexing="ij")
+    for phase_index in (1, 2, 3):
+        res = optimize_weights(state, b1, b2, phase_index, fixed_zero=fixed_zero)
+        assert res.weights.shape == (3, 3, 3) and res.evaluations == 9
+        # the zero-gain cell carries no signal
+        assert res.limit.status[0, 0] == "divergent"
+        for idx in np.ndindex(b1.shape):
+            try:
+                one = optimize_weights(state, b1[idx], b2[idx], phase_index,
+                                       fixed_zero=fixed_zero)
+            except AllDivergentError:
+                assert res.limit.status[idx] == "divergent" and math.isnan(res.value[idx])
+                assert np.all(np.isnan(res.weights[idx])) and np.all(np.isnan(res.point[idx]))
+                continue
+            assert res.limit.status[idx] == one.limit.status == "ok"
+            assert (res.limit.orders[0][idx], res.limit.orders[1][idx]) == one.limit.orders
+            # the batched pseudo-inverse may round differently from a single one
+            assert np.allclose(res.weights[idx], one.weights, rtol=1e-13, atol=1e-13)
+            assert np.allclose(res.point[idx], one.point, rtol=1e-13, atol=1e-13)
+            assert res.value[idx] == pytest.approx(one.value, rel=1e-15)
 
 
 def test_phase_surface_minimum_at_origin():
@@ -200,6 +244,39 @@ def test_scaling_curve_completes_through_weak_input():
                          amplitude=0.01)
     assert [r[0] for r in rows] == list(samples)
     assert all(math.isinf(r[2]) for r in rows)
+
+
+def test_scaling_curve_rows_equal_per_sample_calls():
+    samples = np.array([0.0, 1.5, 3.5])
+    weights = (1.0, 1.0, 0.0)
+    for sweep, kw in [("fix_beta1", {}), ("fix_beta2", {"port": 3, "amplitude": 0.5}),
+                      ("diagonal", {"port": 1, "amplitude": 2.0}),
+                      ("alpha", {"port": 3, "partner": 2.0})]:
+        rows = scaling_curve(sweep, samples, weights=weights, phase_indices=(1, 3), **kw)
+        for row, x in zip(rows, samples):
+            b1, b2 = {"fix_beta1": (3.0, x), "fix_beta2": (x, 3.0), "diagonal": (x, x),
+                      "alpha": (2.0, 2.0)}[sweep]
+            amp = x if sweep == "alpha" else kw.get("amplitude")
+            state = InputState.coherent(kw["port"], amp) if "port" in kw else VAC
+            n = n_total((b1, b2), state)
+            dphis = [zero_phase_limit(state, b1, b2, weights, j).delta_phi for j in (1, 3)]
+            assert row == (x, n, *dphis, 1.0 / n if n > 0 else math.inf)
+            assert all(type(v) is float for v in row)
+
+
+def test_ratio_surface_cells_match_per_cell_optimum():
+    b2s, alphas = [0.0, 1.0, 4.0], [0.0, 0.5, 3.0]
+    for port in (1, 3):
+        rows = optimal_ratio_surface(port, b2s, alphas)
+        for (b2, a, ratio), (x, y) in zip(rows, itertools.product(b2s, alphas), strict=True):
+            assert (b2, a) == (x, y)
+            state = InputState.coherent(port, y) if y else VAC
+            try:
+                want = optimize_weights(state, x, x, fixed_zero=port).point[0]
+            except AllDivergentError:
+                assert math.isnan(ratio)
+                continue
+            assert ratio == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_optimal_ratio_surface_port1_corner():

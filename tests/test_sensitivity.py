@@ -14,17 +14,21 @@ import pytest
 from su12sim.gaussian import InputState, photon_statistics, propagate
 from su12sim.interferometer import InterferometerConfig
 from su12sim.sensitivity import (
-    DetectorWeights,
+    NonConvergentLimitError,
     asymptote_high_gain,
     closed_form_limit,
     closed_form_offset,
     closed_form_offset_highgain,
+    limit_from_moments,
     mean_derivative,
     n_total,
     n_total_closed_form,
     phase_sensitivity,
+    require_convergent,
     su11_benchmark,
+    vacuum_invariant,
     zero_phase_limit,
+    zero_phase_moments,
 )
 
 VAC = InputState.vacuum()
@@ -35,24 +39,15 @@ LADDER_3_3 = (0.018095896431221892, 0.017398378233867941, 0.017391261894118434)
 LIMIT_3_3 = 0.017391189997055346
 
 
-def test_weights_from_ratios():
-    w = DetectorWeights.from_ratios(-0.5, 2.0)
-    assert (w.w1, w.w2, w.w3) == (1.0, -0.5, 2.0)
-
-
-def test_weights_normalized_pivot():
-    w = DetectorWeights(0.5, -2.0, 1.0).normalized()
-    # largest-magnitude entry becomes +1
-    assert w.w2 == 1.0
-    assert np.isclose(w.w1, -0.25)
-    assert isinstance(w.w1, float)
-
-
 def test_vacuum_invariant_values():
-    assert np.isclose(DetectorWeights(1, 0, 1).vacuum_invariant(), 1.0)
-    assert np.isclose(DetectorWeights(1, 1, 0).vacuum_invariant(), 0.0)
-    assert np.isclose(DetectorWeights(1, -0.3, -0.3).vacuum_invariant(), 1 / 3)
-    assert np.isclose(DetectorWeights(0, 1, 1).vacuum_invariant(), 1 / 3)
+    assert np.isclose(vacuum_invariant((1, 0, 1)), 1.0)
+    assert np.isclose(vacuum_invariant((1, 1, 0)), 0.0)
+    assert np.isclose(vacuum_invariant((1, -0.3, -0.3)), 1 / 3)
+    assert np.isclose(vacuum_invariant((0, 1, 1)), 1 / 3)
+    assert isinstance(vacuum_invariant((0, 1, 1)), float)
+    # a stack of weight vectors gives one value each; w1 + w2 = 0 is infinite
+    assert np.array_equal(vacuum_invariant([(1, 0, 1), (1, 1, 0), (1, -1, 0.2)]),
+                          [1.0, 0.0, math.inf])
 
 
 def test_report_consistency():
@@ -279,6 +274,50 @@ def test_conserved_combination_carries_no_signal():
             res = zero_phase_limit(state, 3.0, 3.0, (1, -1, -1), phase_index=j)
             assert res.is_divergent
             assert res.orders is None
+
+
+# a (beta1, beta2) grid with a zero-gain cell, and the inputs it is checked on
+GAIN_GRID = np.meshgrid([0.0, 0.4, 3.0, 5.5], [0.0, 1.7, 3.0], indexing="ij")
+GRID_INPUTS = [VAC, *(InputState.coherent(port, amp) for port in (1, 2, 3)
+                      for amp in (0.3, 2.0 + 1.0j))]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("state", GRID_INPUTS, ids=lambda s: str(s.alpha))
+def test_gain_stacked_limit_equals_per_configuration_calls(state):
+    b1, b2 = GAIN_GRID
+    weights = np.array([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, -1.0, -1.0)])
+    n = n_total((b1, b2), state)
+    assert n.shape == b1.shape
+    for phase_index in (1, 2, 3):
+        cov, slope = moments = zero_phase_moments(state, b1, b2, phase_index)
+        assert cov.shape == (2, *b1.shape, 3, 3, 3) and slope.shape == (2, *b1.shape, 2, 3)
+        # one weight vector per cell, and one weight stack against every cell
+        per_cell = weights[np.arange(b1.size).reshape(b1.shape) % len(weights)]
+        stacked = limit_from_moments(moments, per_cell)
+        every = limit_from_moments(moments, weights[:, None, None])
+        for idx in np.ndindex(b1.shape):
+            one = zero_phase_moments(state, b1[idx], b2[idx], phase_index)
+            for x, y in zip(moments, one):
+                assert np.array_equal(_bits(x[(slice(None), *idx)]), _bits(y))
+            for got, want in zip(stacked, limit_from_moments(one, per_cell[idx])):
+                assert np.array_equal(_bits(got[idx]), _bits(want))
+            for got, want in zip(every, limit_from_moments(one, weights)):
+                assert np.array_equal(_bits(got[(slice(None), *idx)]), _bits(want))
+            if phase_index == 1:
+                single = n_total((b1[idx], b2[idx]), state)
+                assert isinstance(single, float) and n[idx] == single
+
+
+def test_first_nonconvergent_cell_raises():
+    dphi, p, q = np.array([0.5, math.inf, math.nan]), np.array([2, 0, 3]), np.array([1, 1, 1])
+    with pytest.raises(NonConvergentLimitError, match=r"orders \(None, 1\)"):
+        require_convergent(dphi, p, q)
+    finite = dphi[:2], p[:2], q[:2]
+    assert all(x is y for x, y in zip(require_convergent(*finite), finite))
 
 
 def test_n_total_matches_closed_form():
