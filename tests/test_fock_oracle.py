@@ -111,11 +111,23 @@ def test_tensor_generator_action_matches_sparse_reference(i):
 
 @pytest.mark.parametrize("cutoff", [6, 14])
 def test_eigenbasis_equals_sparse_build(cutoff):
-    aa = sp.kron(_ladder(cutoff), _ladder(cutoff), format="csr")
-    lam, V = np.linalg.eigh((0.5 * (aa + aa.T)).toarray())
-    space = TruncatedFockSpace(cutoff)
-    assert np.array_equal(space._lam, lam)
-    assert np.array_equal(space._V, V)
+    """The two-mode K1 conserves n1 - n2.  Block r of the eigenbasis holds
+    the diagonals n1 - n2 = r and r - d, ordered by n2 (n1 = (n2 + r) mod
+    d), and V_r diag(lam_r) V_r^T rebuilds that block of the reference."""
+    d = cutoff
+    aa = sp.kron(_ladder(d), _ladder(d), format="csr")
+    K = (0.5 * (aa + aa.T)).tocoo()
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    assert np.array_equal((n1 - n2)[K.row], (n1 - n2)[K.col])
+    K = K.toarray()
+    tol = 1e-15 * np.linalg.norm(K, 2)
+    space = TruncatedFockSpace(d)
+    assert space._V.shape == (d, d, d) and space._lam.shape == (d, d)
+    position = np.arange(d)
+    for r in range(d):
+        block = np.ix_(*2 * [(position + r) % d * d + position])
+        rebuilt = space._V[r] @ np.diag(space._lam[r]) @ space._V[r].T
+        assert np.max(np.abs(rebuilt - K[block])) <= tol, r
 
 
 @pytest.mark.parametrize("cutoff", [14, 30])
@@ -192,9 +204,10 @@ def test_gate_equals_dense_exponential(pair):
             assert np.max(np.abs(got - expected)) <= 1e-13, (theta, beta)
 
 
-@pytest.mark.parametrize("pair", ["12", "13"])
-def test_gate_matches_krylov_exponential_at_cutoff_14(pair):
-    d = 14
+@pytest.mark.parametrize("pair, d", [("12", 14), ("13", 14), ("12", 30), ("13", 30)],
+                         ids=["12", "13", "12-30", "13-30"])
+def test_gate_matches_krylov_exponential_at_cutoff_14(pair, d):
+    """Also at cutoff 30, where each block of the gate is 30 x 30."""
     space = TruncatedFockSpace(d)
     psi = _random_state(d, 2)
     Ka, Kb = (k_operator(i, d) for i in GATE_GENERATORS[pair])
@@ -254,6 +267,61 @@ def test_guard_trips_on_preparation_deficit():
         space.run_circuit(
             InterferometerConfig.balanced(0.1, 0.1), InputState.coherent(1, 2.5)
         )
+
+
+def test_phase_stack_members_equal_scalar_calls():
+    """A (2, 3) stack of internal phases runs as six circuits in one: each
+    member's amplitudes, leakage record and statistics are bit-identical
+    to its scalar call, and the scalar call gives floats."""
+    space = TruncatedFockSpace(14)
+    base = InterferometerConfig(0.3, 0.25, 0.3, 0.2, 0.3, 1.1, 2.0, 4.0)
+    state = InputState((0.5, 0.2j, -0.3))
+    phi1 = np.array([[0.0, 0.7, 2.9], [4.1, 5.5, 6.2]])
+    phi2 = np.array([[0.3], [1.9]])
+    fsv = space.run_circuit(base.with_phases(phi1, phi2, 3.1), state)
+    assert fsv.amplitudes.shape == (2, 3, 14 ** 3)
+    assert fsv.gate_leakage.shape == (2, 3, 6)
+    assert fsv.leakage == np.max(fsv.member_leakage)
+    w = (1.0, -0.5, 0.25)
+    mean, cov = photon_statistics_fock(fsv)
+    est, diff = estimator_stats_fock(fsv, w), conserved_difference_stats(fsv)
+    for i, j in np.ndindex(phi1.shape):
+        one = space.run_circuit(base.with_phases(phi1[i, j], phi2[i, 0], 3.1), state)
+        assert np.array_equal(fsv.amplitudes[i, j], one.amplitudes), (i, j)
+        assert np.array_equal(fsv.gate_leakage[i, j], one.gate_leakage), (i, j)
+        assert fsv.member_leakage[i, j] == one.leakage == one.member_leakage
+        assert fsv.norm[i, j] == one.norm
+        one_mean, one_cov = photon_statistics_fock(one)
+        assert np.array_equal(mean[i, j], one_mean) and np.array_equal(cov[i, j], one_cov)
+        one_est, one_diff = estimator_stats_fock(one, w), conserved_difference_stats(one)
+        for many, scalar in ((est, one_est), (diff, one_diff)):
+            assert many[0][i, j] == scalar[0] and many[1][i, j] == scalar[1], (i, j)
+            assert all(type(x) is float for x in scalar)
+        assert type(one.norm) is float and type(one.leakage) is float
+
+
+def test_guard_trips_when_one_stack_member_crosses():
+    """At balanced gains 0.5 the phase pi makes the recombiners amplify: its
+    scalar call trips the guard and the phase-0 call does not, and a stack
+    holding both trips it in either order."""
+    space = TruncatedFockSpace(14)
+    vac = InputState.vacuum()
+    assert space.run_circuit(InterferometerConfig.balanced(0.5, 0.5), vac).leakage < 1e-8
+    with pytest.raises(LeakageExceeded, match="after stage 4"):
+        space.run_circuit(InterferometerConfig.balanced(0.5, 0.5, phi1=np.pi), vac)
+    for phi1 in ([0.0, np.pi], [np.pi, 0.0]):
+        with pytest.raises(LeakageExceeded, match="after stage 4"):
+            space.run_circuit(InterferometerConfig.balanced(0.5, 0.5, phi1=np.array(phi1)),
+                              vac)
+
+
+def test_array_gains_and_pump_phases_are_rejected():
+    space = TruncatedFockSpace(6)
+    vac = InputState.vacuum()
+    with pytest.raises(ValueError):
+        space.run_circuit(InterferometerConfig.balanced(np.array([0.1, 0.2]), 0.1), vac)
+    with pytest.raises(ValueError):
+        space.run_circuit(InterferometerConfig(0.1, 0.1, 0.1, 0.1, theta4=np.zeros(2)), vac)
 
 
 def test_photon_statistics_on_handmade_state():
