@@ -100,6 +100,8 @@ def _resolve_params(defaults, config_path, sets):
                 params[k] = int(v)
             elif isinstance(d, float):
                 params[k] = float(v)
+                if not math.isfinite(params[k]):
+                    raise UsageError(f"parameter {k!r} must be finite, got {v!r}")
             else:
                 params[k] = v
         except ValueError:
@@ -167,7 +169,8 @@ def cmd_lie_verify(params, outdir, timestamp):
     rng = np.random.default_rng(params["seed"])
     worst = 0.0
     # stacks of at most _LIE_STACK elements keep the sweep's memory flat; the
-    # elements are drawn in sequence, so they do not depend on the split
+    # elements consume one stream of uniform draws in order, so they do not
+    # depend on the split
     for start in range(0, params["trials"], _LIE_STACK):
         stack = lie.random_elements(rng, min(_LIE_STACK, params["trials"] - start))
         worst = max(worst, float(np.max(lie.membership_defect(stack))))
@@ -365,7 +368,9 @@ def cmd_figure(n, params, outdir, timestamp):
         try:
             beta1 = None if params["beta1"] == "diag" else float(params["beta1"])
         except ValueError:
-            raise UsageError(f"beta1 must be 'diag' or a number, got {params['beta1']!r}")
+            beta1 = math.nan
+        if beta1 is not None and not math.isfinite(beta1):
+            raise UsageError(f"beta1 must be 'diag' or a finite number, got {params['beta1']!r}")
         rows = optimal_ratio_surface(port, b2s, als, beta1=beta1)
         header = ("beta2", "alpha_abs", "opt_ratio")
         corner = [r for r in rows if r[0] == b2s[-1] and r[1] == als[0]]

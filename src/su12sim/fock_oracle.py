@@ -63,6 +63,7 @@ import numpy as np
 from .gaussian import InputState, estimator_stats, photon_statistics, propagate
 from .interferometer import InterferometerConfig
 from .lie import SQRT3
+from .sensitivity import _unstack
 
 
 class LeakageExceeded(RuntimeError):
@@ -75,11 +76,6 @@ def _occupation_arrays(d):
     n2 = np.tile(np.repeat(n, d), d)
     n3 = np.tile(n, d * d)
     return n1, n2, n3
-
-
-def _per_member(x):
-    """A per-member result: an array for a stack, a float for one state."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _create(x, axis):
@@ -165,11 +161,11 @@ class FockStateVector:
 
     @property
     def member_leakage(self):
-        return _per_member(_member_leakage(np.asarray(self.gate_leakage)))
+        return _unstack(_member_leakage(np.asarray(self.gate_leakage)))
 
     @property
     def norm(self):
-        return _per_member(np.linalg.norm(self.amplitudes, axis=-1))
+        return _unstack(np.linalg.norm(self.amplitudes, axis=-1))
 
 
 class TruncatedFockSpace:
@@ -268,7 +264,7 @@ class TruncatedFockSpace:
     def boundary_mass(self, psi):
         """Probability sitting in the top occupation shell of any mode, per member."""
         shell = np.take(psi, self._boundary, axis=-1)
-        return _per_member(np.vecdot(shell, shell).real)
+        return _unstack(np.vecdot(shell, shell).real)
 
     # -- circuits ----------------------------------------------------------
 
@@ -345,7 +341,7 @@ def photon_statistics_fock(fsv):
 def estimator_stats_fock(fsv, weights):
     """Mean and variance of w . n per member; floats for one state."""
     mean, var = estimator_stats(*photon_statistics_fock(fsv), weights)
-    return _per_member(mean), _per_member(var)
+    return _unstack(mean), _unstack(var)
 
 
 def conserved_difference_stats(fsv):

@@ -23,10 +23,13 @@ element of the group.  (As an operator identity, n1 - n2 - n3 commutes
 with each K_i; its commutation action on the triple (a1, a2^dag, a3^dag)
 is -1 times each component, i.e. a multiple of the identity matrix.)
 
-The generators g_i of this module are the derivatives of the closed-form
-one-parameter subgroups at zero, so exp(alpha g_i) reproduces them
-exactly.  They obey J g^dag J = -g, the algebra-level membership
-condition.
+The generators g_i of this module are read from one table of their
+nonzero matrix entries, and the closed-form one-parameter subgroups
+exp(alpha g_i) are computed from them: the mixer and splitter generators
+g_1..g_6 square to +-P/4 on the projector P of their mode pair, and the
+phase generators g_7, g_8 are diagonal.  exp_generator, a Taylor series
+that shares only the table, cross-checks the closed forms.  The
+generators obey J g^dag J = -g, the algebra-level membership condition.
 """
 
 import math
@@ -38,40 +41,29 @@ SQRT3 = np.sqrt(3.0)
 #: pseudo-unitarity metric for the (a1, a2^dag, a3^dag) ordering
 METRIC = np.diag([1.0, -1.0, -1.0]).astype(complex)
 
+#: the nonzero entries {(row, column): value} of each generator g_i
+_ENTRIES = {
+    1: {(0, 1): -0.5j, (1, 0): 0.5j},
+    2: {(0, 1): -0.5, (1, 0): -0.5},
+    3: {(0, 2): -0.5j, (2, 0): 0.5j},
+    4: {(0, 2): -0.5, (2, 0): -0.5},
+    5: {(1, 2): -0.5j, (2, 1): -0.5j},
+    6: {(1, 2): -0.5, (2, 1): 0.5},
+    7: {(0, 0): -0.5j, (1, 1): 0.5j},
+    8: {(0, 0): -0.5j / SQRT3, (1, 1): -0.5j / SQRT3, (2, 2): 1j / SQRT3},
+}
+_EYE = np.eye(3)
+_DIAG = np.arange(3)
+
 
 def generator(i):
-    """Defining-representation generator g_i (i = 1..8), a 3x3 complex array.
-
-    Normalized so that exp(alpha * g_i) equals group_element(i, alpha).
-    """
-    g = np.zeros((3, 3), dtype=complex)
-    if i == 1:
-        g[0, 1] = -0.5j
-        g[1, 0] = 0.5j
-    elif i == 2:
-        g[0, 1] = -0.5
-        g[1, 0] = -0.5
-    elif i == 3:
-        g[0, 2] = -0.5j
-        g[2, 0] = 0.5j
-    elif i == 4:
-        g[0, 2] = -0.5
-        g[2, 0] = -0.5
-    elif i == 5:
-        g[1, 2] = -0.5j
-        g[2, 1] = -0.5j
-    elif i == 6:
-        g[1, 2] = -0.5
-        g[2, 1] = 0.5
-    elif i == 7:
-        g[0, 0] = -0.5j
-        g[1, 1] = 0.5j
-    elif i == 8:
-        g[0, 0] = -0.5j / SQRT3
-        g[1, 1] = -0.5j / SQRT3
-        g[2, 2] = 1j / SQRT3
-    else:
+    """Defining-representation generator g_i (i = 1..8), a 3x3 complex array
+    built from its row of the entry table."""
+    if i not in _ENTRIES:
         raise ValueError(f"generator index must be 1..8, got {i}")
+    g = np.zeros((3, 3), dtype=complex)
+    for (row, col), value in _ENTRIES[i].items():
+        g[row, col] = value
     return g
 
 
@@ -79,46 +71,27 @@ GENERATORS = {i: generator(i) for i in range(1, 9)}
 
 
 def group_element(i, alpha):
-    """Closed form of exp(i alpha K_i) acting on (a1, a2^dag, a3^dag).
+    """Closed form of exp(alpha g_i), the action of exp(i alpha K_i) on
+    (a1, a2^dag, a3^dag).
 
-    The amplifier elements (i = 1..4) are hyperbolic in alpha/2, the
-    beam-splitter elements (i = 5, 6) trigonometric, and the phase
-    elements (i = 7, 8) diagonal unit-modulus.  An array alpha gives the
-    stack of elements, shape alpha.shape + (3, 3).
+    g_1..g_6 couple one mode pair, with projector P, and square to +-P/4,
+    so exp(alpha g) = I + (f(alpha/2) - 1) P + 2 h(alpha/2) g, where (f, h)
+    is (cosh, sinh) for the amplifiers 1..4 (g^2 = P/4) and (cos, sin) for
+    the beam splitter 5, 6 (g^2 = -P/4).  The phase generators g_7, g_8 are
+    diagonal and are exponentiated entry by entry.  An array alpha gives
+    the stack of elements, shape alpha.shape + (3, 3).
     """
+    g = generator(i)
     alpha = np.asarray(alpha, dtype=float)
-    c, s = np.cosh(alpha / 2.0), np.sinh(alpha / 2.0)
-    cc, ss = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
-    g = np.zeros(alpha.shape + (3, 3), dtype=complex)
-    if i == 1:
-        g[..., 0, 0] = g[..., 1, 1] = c
-        g[..., 0, 1], g[..., 1, 0], g[..., 2, 2] = -1j * s, 1j * s, 1.0
-    elif i == 2:
-        g[..., 0, 0] = g[..., 1, 1] = c
-        g[..., 0, 1], g[..., 1, 0], g[..., 2, 2] = -s, -s, 1.0
-    elif i == 3:
-        g[..., 0, 0] = g[..., 2, 2] = c
-        g[..., 0, 2], g[..., 2, 0], g[..., 1, 1] = -1j * s, 1j * s, 1.0
-    elif i == 4:
-        g[..., 0, 0] = g[..., 2, 2] = c
-        g[..., 0, 2], g[..., 2, 0], g[..., 1, 1] = -s, -s, 1.0
-    elif i == 5:
-        g[..., 1, 1] = g[..., 2, 2] = cc
-        g[..., 1, 2], g[..., 2, 1], g[..., 0, 0] = -1j * ss, -1j * ss, 1.0
-    elif i == 6:
-        g[..., 1, 1] = g[..., 2, 2] = cc
-        g[..., 1, 2], g[..., 2, 1], g[..., 0, 0] = -ss, ss, 1.0
-    elif i == 7:
-        g[..., 0, 0] = np.exp(-0.5j * alpha)
-        g[..., 1, 1] = np.exp(0.5j * alpha)
-        g[..., 2, 2] = 1.0
-    elif i == 8:
-        r = alpha / (2.0 * SQRT3)
-        g[..., 0, 0] = g[..., 1, 1] = np.exp(-1j * r)
-        g[..., 2, 2] = np.exp(2j * r)
-    else:
-        raise ValueError(f"generator index must be 1..8, got {i}")
-    return g
+    if np.any(np.diagonal(g)):  # g_7, g_8
+        S = np.zeros(alpha.shape + (3, 3), dtype=complex)
+        S[..., _DIAG, _DIAG] = np.exp(alpha[..., None] * np.diagonal(g))
+        return S
+    P = np.diag(np.any(g, axis=1))
+    # the sign of g^2 = +-P/4 tells an amplifier from the splitter
+    f, h = (np.cosh, np.sinh) if (g @ g)[P][0].real > 0 else (np.cos, np.sin)
+    half = alpha[..., None, None] / 2.0
+    return np.where(P, f(half), _EYE) + 2.0 * h(half) * g
 
 
 #: Taylor terms of exp_generator; on a 1-norm of at most 1/2 the first
@@ -132,7 +105,8 @@ def exp_generator(i, alpha):
     A truncated Taylor series with scaling and squaring (Higham, SIAM J.
     Matrix Anal. Appl. 26, 1179 (2005)): alpha g_i is halved s times, which
     is exact, until its 1-norm is at most 1/2, summed to _TAYLOR_TERMS
-    terms and squared s times.  It shares no code with the closed forms.
+    terms and squared s times.  It shares only the generator table with the
+    closed forms.
     """
     a = alpha * GENERATORS[i]
     s = max(0, math.frexp(float(np.max(np.sum(np.abs(a), axis=0))))[1] + 1)
@@ -232,37 +206,33 @@ def membership_defect(S):
     return float(defect) if defect.ndim == 0 else defect
 
 
-def is_pseudo_unitary(S, tol=1e-9):
-    """Whether S is a group member: J S^dag J S = I within tol."""
-    return membership_defect(S) <= tol
+#: factors of a random element, and the bound on their gains
+_FACTORS = 6
+_SCALE = 0.8
 
 
-def random_elements(rng, n, factors=6, scale=0.8):
+def random_elements(rng, n):
     """n random group members, shape (n, 3, 3): products of closed forms.
 
-    Each element draws its generator indices and then its parameters
-    from rng, so the stack equals n successive random_element calls.
-    Products of exact one-parameter elements are exact members, so the
-    results fail membership checks only through rounding.
+    One uniform pair (u, v) per factor, drawn as one (n, _FACTORS, 2)
+    array, gives the generator index 1 + floor(8 u) and the gain
+    _SCALE (2 v - 1); each element is the left-accumulated product of its
+    factors.  The draws are consumed in order, so the stack equals n
+    successive calls with n = 1.  Products of exact one-parameter
+    elements are exact members, so the results fail membership checks
+    only through rounding.
     """
-    idx = np.empty((n, factors), dtype=int)
-    amp = np.empty((n, factors))
-    for row in range(n):
-        idx[row] = rng.integers(1, 9, size=factors)
-        amp[row] = rng.uniform(-scale, scale, size=factors)
-    G = np.empty((n, factors, 3, 3), dtype=complex)
+    u, v = np.moveaxis(rng.uniform(size=(n, _FACTORS, 2)), -1, 0)
+    idx = 1 + (8.0 * u).astype(int)
+    amp = _SCALE * (2.0 * v - 1.0)
+    G = np.empty((n, _FACTORS, 3, 3), dtype=complex)
     for i in np.unique(idx):
         pick = idx == i
         G[pick] = group_element(int(i), amp[pick])
     S = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
-    for f in range(factors):
+    for f in range(_FACTORS):
         S = G[:, f] @ S
     return S
-
-
-def random_element(rng, factors=6, scale=0.8):
-    """One random group member; see random_elements."""
-    return random_elements(rng, 1, factors, scale)[0]
 
 
 def bracket_table_sign():

@@ -66,14 +66,6 @@ _ORDERS = np.arange(SERIES_ORDER + 1)
 # _CAUCHY[a, b, k] = [a + b == k]: contracting with it multiplies series
 _CAUCHY = (np.add.outer(_ORDERS, _ORDERS)[:, :, None] == _ORDERS).astype(float)
 _EYE = np.eye(3)
-# the variance series V (orders 0..SERIES_ORDER) and the slope series D
-# (0..SERIES_ORDER - 1) side by side on one axis: the order of each slot,
-# the length of its series (the order reported for a series with no nonzero
-# coefficient), and the slots where each series starts and ends
-_SERIES_ORDERS = np.concatenate([_ORDERS, _ORDERS[:-1]])
-_SERIES_LENGTHS = np.repeat([SERIES_ORDER + 1, SERIES_ORDER], [SERIES_ORDER + 1, SERIES_ORDER])
-_SERIES_STARTS = np.array([0, SERIES_ORDER + 1])
-_SERIES_ENDS = np.array([SERIES_ORDER, 2 * SERIES_ORDER])
 
 
 class NonConvergentLimitError(RuntimeError):
@@ -233,6 +225,16 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
     return cov, _ORDERS[1:, None] * mean[..., 1:, :]
 
 
+def _leading_term(value, bound):
+    """Order and value of the first coefficient of a series (last axis) that
+    is not rounding residue of its bound; order = the series length where
+    there is none."""
+    nonzero = np.abs(value) > NO_SIGNAL_RTOL * bound
+    first = nonzero.argmax(axis=-1, keepdims=True)  # 0 where there is none
+    return (first[..., 0] + value.shape[-1] * ~nonzero.any(axis=-1),
+            np.take_along_axis(value, first, axis=-1)[..., 0])
+
+
 def limit_from_moments(moments, weights):
     """Zero-phase sensitivity of every weight vector of a stack (..., 3).
 
@@ -247,17 +249,10 @@ def limit_from_moments(moments, weights):
     cov, slope = moments
     w = np.asarray(weights, dtype=float)
     w = np.array([w, np.abs(w)])
-    value, bound = np.concatenate([np.einsum("x...i,x...kij,x...j->x...k", w, cov, w),
-                                   np.einsum("x...i,x...ki->x...k", w, slope)], axis=-1)
-    # first coefficient of V and of D that is not rounding residue of its bound
-    nonzero = np.abs(value) > NO_SIGNAL_RTOL * bound
-    orders = np.minimum.reduceat(np.where(nonzero, _SERIES_ORDERS, _SERIES_LENGTHS),
-                                 _SERIES_STARTS, axis=-1)
-    first = np.take_along_axis(value, np.minimum(orders + _SERIES_STARTS, _SERIES_ENDS),
-                               axis=-1)
-    p, q = orders[..., 0], orders[..., 1]
+    p, V = _leading_term(*np.einsum("x...i,x...kij,x...j->x...k", w, cov, w))
+    q, D = _leading_term(*np.einsum("x...i,x...ki->x...k", w, slope))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(first[..., 0]) / np.abs(first[..., 1])
+        ratio = np.sqrt(V) / np.abs(D)
     return np.where(p == 2 * q, ratio, np.where(p < 2 * q, math.inf, math.nan)), p, q
 
 

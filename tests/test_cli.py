@@ -123,6 +123,14 @@ def test_removed_search_keys_are_usage_errors(tmp_path, capsys, command, key):
     (["figure", "7"], "beta1=x"),
     (["figure", "5"], "sweep=bogus"),
     (["oracle-check"], "cutoff=1"),
+    (["optimize"], "beta1=nan"),
+    (["figure", "6"], "alpha_hi=inf"),
+    (["figure", "6"], "beta1=nan"),
+    (["figure", "7"], "beta1=inf"),
+    (["oracle-check"], "beta_max=nan"),
+    (["figure", "4"], "lo=inf"),
+    (["figure", "3"], "phi1=nan"),
+    (["figure", "5"], "partner=nan"),
 ])
 def test_bad_parameter_value_is_usage_error(tmp_path, capsys, command, key):
     rc = main([*command, "--set", key, "--out", str(tmp_path)])
@@ -260,7 +268,8 @@ def test_figure3_default_csv_bytes_are_pinned(tmp_path):
 
 # sha256 of the default `--no-timestamp` CSVs of the zero-phase figures,
 # recorded while their sweeps still made one scalar call per sample; the
-# gain-stacked calls that replaced the loops reproduce them byte for byte
+# gain-stacked calls that replaced the loops reproduce them byte for byte.
+# Figures 6 and 7 were recorded from the gain-stacked sweeps.
 FIGURE_DEFAULT_SHA256 = {
     ("4", None): "d9c0ea67ead47e577f8c14a23381b00695acb845aca93df184459abe80d307d3",
     ("5", None): "b83ed0f7e5be2e1fe63e71513d782df277a5095193158625de16af3632e3c2d7",
@@ -268,6 +277,8 @@ FIGURE_DEFAULT_SHA256 = {
     ("8", "b"): "3b6a8ac815f27490f15cfa5b4ba03a6c06985e831a20e6328dfe75d2141c3a7b",
     ("8", "c"): "f4bf78b1b33f8beb27fd066372f53025e178b11f98c670443a4fd4cdcff79e70",
     ("8", "d"): "2a30d8cc8334732754376e0fe7f265a7eb0355274654178dd28ae34d27e12f6b",
+    ("6", None): "efc77fe3abe8d24906dde5121916b8bf78120f1d1c0e85261206039b7e1ae6da",
+    ("7", None): "6c675276e27db4a96e017cbc98187c262510acb8ebaabbc1cd944a4a34185288",
 }
 
 

@@ -15,9 +15,7 @@ from su12sim.lie import (
     exp_generator,
     generator,
     group_element,
-    is_pseudo_unitary,
     membership_defect,
-    random_element,
     random_elements,
 )
 
@@ -60,31 +58,30 @@ def test_exponential_matches_scipy_expm(i):
 @pytest.mark.parametrize("i", range(1, 9))
 def test_one_parameter_elements_are_members(i):
     for a in (-0.8, 0.6, 1.7):
-        assert is_pseudo_unitary(group_element(i, a))
+        assert membership_defect(group_element(i, a)) <= 1e-9
 
 
 def test_random_products_stay_in_group():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(300):
-        S = random_element(rng)
+        S = random_elements(rng, 1)[0]
         worst = max(worst, membership_defect(S))
     assert worst < 1e-9
 
 
 def test_random_elements_equal_successive_draws():
     """The stack equals successive single draws, and each element is the
-    left-accumulated product of its factors, indices drawn before gains."""
+    left-accumulated product of its factors, whose generator index and
+    gain come from one uniform pair per factor."""
     stacked = random_elements(np.random.default_rng(19), 500)
     rng = np.random.default_rng(19)
-    assert np.array_equal(stacked, np.array([random_element(rng) for _ in range(500)]))
+    assert np.array_equal(stacked, np.array([random_elements(rng, 1)[0] for _ in range(500)]))
     rng = np.random.default_rng(19)
     for S in stacked[:20]:
-        idx = rng.integers(1, 9, size=6)
-        amp = rng.uniform(-0.8, 0.8, size=6)
         product = np.eye(3, dtype=complex)
-        for i, a in zip(idx, amp):
-            product = group_element(int(i), float(a)) @ product
+        for u, v in rng.uniform(size=(6, 2)):
+            product = group_element(1 + int(8.0 * u), 0.8 * (2.0 * v - 1.0)) @ product
         assert np.array_equal(S, product)
 
 
@@ -110,14 +107,14 @@ def test_group_element_broadcasts_bitwise(i):
 
 def test_membership_defect_flags_non_members():
     assert membership_defect(np.diag([1.1, 1.0, 1.0])) > 1e-3
-    assert not is_pseudo_unitary(2.0 * np.eye(3))
+    assert membership_defect(2.0 * np.eye(3)) > 1e-9
 
 
 def test_inverse_from_metric():
     """J S^dag J is the inverse of any group element."""
     rng = np.random.default_rng(5)
     for _ in range(20):
-        S = random_element(rng)
+        S = random_elements(rng, 1)[0]
         inv = METRIC @ S.conj().T @ METRIC
         assert np.allclose(inv @ S, np.eye(3), atol=1e-10)
 
