@@ -1,15 +1,21 @@
-"""Gaussian-state propagation through a mode transform.
+"""Photocount moments of coherent inputs after an SU(1,2) mode transform.
 
-Inputs are products of coherent states (vacuum as the special case
-alpha = 0).  Because the mode transform is linear in the operators, the
-output state is Gaussian and fully described by first moments and the
-quadratic noise moments
+A mode matrix S acts linearly on the slots xi = (a1, a2^dag, a3^dag), as
+SU(1,1) does in the two-mode interferometer (Yurke, McCall & Klauder, PRA
+33, 4033, 1986).  Coherent input has slot amplitudes alpha~ = (alpha1,
+alpha2^*, alpha3^*), slot noise <dxi dxi^dag> = diag(1, 0, 0) and no
+anomalous slot moments; after S the noise is the rank-one s s^dag,
+s = S[:, 0], still with no anomalous part.  With the mean field
+m = S alpha~, q = |s|^2, p = |m|^2, u = m^* s and v = q but
+v1 = |S12|^2 + |S13|^2 (q1 - 1 without the cancellation), Wick's theorem
+gives every photocount moment:
 
-    N_ij = <da_i^dag da_j>,   M_ij = <da_i da_j>,   da = a - <a>,
+    <n_i> = v_i + p_i
+    Cov(n_i, n_j) = q_i q_j + 2 Re(u_i u_j^*)      (i != j)
+    Var(n_i) = v_i (v_i + 1) + p_i (2 v_i + 1)
 
-from which photon-number means and the full number covariance matrix
-follow by Wick's theorem.  All detection statistics used elsewhere in
-the package reduce to these arrays.
+photocounts takes the product as an argument: elementwise at a point, the
+truncated series product for the series of sensitivity.zero_phase_moments.
 """
 
 from dataclasses import dataclass
@@ -48,31 +54,31 @@ class InputState:
     def alpha_vector(self):
         return np.array(self.alpha, dtype=complex)
 
-
-def from_mode_matrix(S):
-    """Blocks (A, B) of a_out = A a + B a^dag for mode matrices S (..., 3, 3).
-
-    Row 1 of S gives a1_out directly; rows 2 and 3 give the conjugate-mode
-    creation operators, so those rows conjugate.  The split is R-linear,
-    so it commutes with derivatives and series in a real parameter.
-    """
-    S = np.asarray(S, dtype=complex)
-    conj = np.conj(S)
-    A, B = np.zeros((2, *S.shape), dtype=complex)
-    A[..., 0, 0] = S[..., 0, 0]
-    B[..., 0, 1:] = S[..., 0, 1:]
-    B[..., 1:, 0] = conj[..., 1:, 0]
-    A[..., 1:, 1:] = conj[..., 1:, 1:]
-    return A, B
+    @property
+    def slot_vector(self):
+        """Slot amplitudes alpha~ = (alpha1, alpha2^*, alpha3^*)."""
+        a = self.alpha_vector
+        a[1:] = np.conj(a[1:])
+        return a
 
 
 @dataclass(frozen=True)
 class OutputMoments:
-    """First moments and noise moments of the output Gaussian state."""
+    """Mean field m = S alpha~, noise column s = S[:, 0] and noise photon
+    numbers v of the output slots, each (..., 3)."""
 
-    mu: np.ndarray
-    N: np.ndarray
-    M: np.ndarray
+    m: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+
+
+def noise_pairing(S, T, mul=np.multiply):
+    """conj(S) T summed as in the noise photon numbers v = Re noise_pairing(S, S):
+    over S[0, 1:] for mode 1, S[i, 0] alone for modes 2 and 3.  It is
+    sesquilinear, so dv = 2 Re noise_pairing(S, dS)."""
+    x = mul(np.conj(S[..., :, 0]), T[..., :, 0])
+    x[..., 0] = np.sum(mul(np.conj(S[..., 0, 1:]), T[..., 0, 1:]), axis=-1)
+    return x
 
 
 def propagate(transform, state):
@@ -84,49 +90,29 @@ def propagate(transform, state):
     """
     if hasattr(transform, "total_matrix"):
         transform = transform.total_matrix()
-    A, B = from_mode_matrix(transform)
-    return moments_from_blocks(A, B, mean_field(A, B, state))
+    S = np.asarray(transform, dtype=complex)
+    return OutputMoments(m=S @ state.slot_vector, s=S[..., :, 0],
+                         v=np.real(noise_pairing(S, S)))
 
 
-def mean_field(A, B, state):
-    """First moments mu = A alpha + B alpha^* of a_out = A a + B a^dag."""
-    alpha = state.alpha_vector
-    return A @ alpha + B @ np.conj(alpha)
-
-
-def moments_from_blocks(A, B, mu):
-    """Output moments of a_out = A a + B a^dag with first moments mu."""
-    N = np.einsum("...ik,...jk->...ij", np.conj(B), B)
-    M = np.einsum("...ik,...jk->...ij", A, B)
-    return OutputMoments(mu=mu, N=N, M=M)
-
-
-def photon_means(moments):
-    """Photon-number means <n_i> = N_ii + |mu_i|^2, a real array (..., 3)."""
-    return np.real(np.diagonal(moments.N, axis1=-2, axis2=-1)) + np.abs(moments.mu) ** 2
+def photocounts(m, s, v, mul=np.multiply):
+    """Photocount means (..., 3) and covariance (..., 3, 3) from m, s and v of
+    OutputMoments, or their series when mul is the product of power series
+    (mul multiplies elementwise in the trailing axes)."""
+    q = np.real(mul(np.conj(s), s))
+    p = np.real(mul(np.conj(m), m))
+    u = mul(np.conj(m), s)
+    mean = v + p
+    cov = mul(q[..., :, None], q[..., None, :])
+    cov += 2.0 * np.real(mul(u[..., :, None], np.conj(u[..., None, :])))
+    cov[..., _DIAG, _DIAG] = mul(v, v + 2.0 * p) + mean  # v (v + 1) + p (2 v + 1)
+    return mean, cov
 
 
 def photon_statistics(moments):
-    """Photon-number means and covariance matrix from Gaussian moments.
-
-    For a Gaussian state with first moment mu and noise moments N, M:
-
-        <n_i> = N_ii + |mu_i|^2
-        Cov(n_i, n_j) = |N_ij|^2 + |M_ij|^2
-                        + delta_ij (N_ii + |mu_i|^2)
-                        + 2 Re(mu_i^* mu_j N_ji)
-                        + 2 Re(mu_i^* mu_j^* M_ij)
-
-    Returns (mean, cov) as real arrays of shapes (..., 3) and (..., 3, 3).
-    """
-    mu, N, M = moments.mu, moments.N, moments.M
-    mu_conj = np.conj(mu)
-    mean = photon_means(moments)
-    cov = np.abs(N) ** 2 + np.abs(M) ** 2
-    cov[..., _DIAG, _DIAG] += mean
-    cov += 2.0 * np.real(mu_conj[..., :, None] * mu[..., None, :] * np.swapaxes(N, -1, -2))
-    cov += 2.0 * np.real(mu_conj[..., :, None] * mu_conj[..., None, :] * M)
-    return mean, cov
+    """Photon-number means and covariance matrix, real arrays of shapes
+    (..., 3) and (..., 3, 3), from the output moments."""
+    return photocounts(moments.m, moments.s, moments.v)
 
 
 def estimator_stats(mean, cov, weights):

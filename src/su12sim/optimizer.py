@@ -88,7 +88,8 @@ def optimize_weights(state, beta1, beta2, phase_index=1, *, fixed_zero=None):
     cov, slope = moments
     c2 = cov[0, ..., 2, :, :][..., free[:, None], free]
     w = np.zeros((*c2.shape[:-2], 3))
-    w[..., free] = (np.linalg.pinv(c2, rcond=NO_SIGNAL_RTOL)
+    # cells whose moments are not finite are nan: solved as C2 = 0, they get nan weights
+    w[..., free] = (np.linalg.pinv(np.nan_to_num(c2), rcond=NO_SIGNAL_RTOL)
                     @ slope[0, ..., 1, :][..., free, None])[..., 0]
     pivot = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -181,7 +182,7 @@ def scaling_curve(sweep, samples, partner=3.0, weights=(1.0, 0.0, 1.0),
             zero_phase_moments(s, b1, b2, j), weights))[0] for s in states])
     n, *dphis = (np.reshape(c, x.shape) for c in columns)
     with np.errstate(divide="ignore"):
-        heisenberg = np.where(n > 0, 1.0 / n, math.inf)
+        heisenberg = np.where(n == 0, math.inf, 1.0 / n)
     return [tuple(row) for row in np.column_stack([x, n, *dphis, heisenberg]).tolist()]
 
 

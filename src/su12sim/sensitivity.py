@@ -45,16 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    InputState,
-    estimator_stats,
-    from_mode_matrix,
-    mean_field,
-    moments_from_blocks,
-    photon_means,
-    photon_statistics,
-    propagate,
-)
+from .gaussian import (InputState, estimator_stats, noise_pairing, photocounts,
+                       photon_statistics, propagate)
 from .interferometer import InterferometerConfig, chronological_product
 
 
@@ -69,7 +61,7 @@ _EYE = np.eye(3)
 
 
 class NonConvergentLimitError(RuntimeError):
-    """Zero-phase series neither has a finite limit nor diverges."""
+    """Zero-phase series neither has a finite limit nor diverges, or overflows."""
 
 
 def vacuum_invariant(weights):
@@ -104,21 +96,19 @@ def _phase_probe(mixers, phase_index):
 
 
 def _slope(config, state, phase_index):
-    """Blocks (A, B) of the cascade at the configuration's phase point, the
-    output mean field mu and the photocount slope d<n>/dphi_j, (..., 3).
+    """Output moments of the cascade at the configuration's phase point and
+    the photocount slope d<n>/dphi_j, (..., 3).
 
-    S is the chronological product of the stages.  The Bogoliubov split
-    is R-linear, so one split of [S, dS] gives (A, B) and their slopes.
+    S is the chronological product of the stages.  <n> = v + |m|^2 is a
+    sum of squared moduli of entries of S, so its slope pairs them with dS.
     """
     S1, S2, P, S3, S4 = mats = config.stage_matrices()
     j, rate, LR = _phase_probe((S1, S2, S3, S4), phase_index)
     dS = (rate * P[..., j, j])[..., None, None] * LR
-    (A, dA), (B, dB) = blocks = from_mode_matrix(np.array([chronological_product(mats), dS]))
-    mu, dmu = mean_field(*blocks, state)
-    # <n_i> = sum_k |B_ik|^2 + |mu_i|^2
-    dmean = 2.0 * np.sum(np.real(np.conj(B) * dB), axis=-1)
-    dmean += 2.0 * np.real(np.conj(mu) * dmu)
-    return A, B, mu, dmean
+    S = chronological_product(mats)
+    moments = propagate(S, state)
+    dm = dS @ state.slot_vector
+    return moments, 2.0 * np.real(noise_pairing(S, dS) + np.conj(moments.m) * dm)
 
 
 def mean_derivative(config, state, weights, phase_index):
@@ -126,7 +116,7 @@ def mean_derivative(config, state, weights, phase_index):
 
     A configuration with stacked phases gives an array of the stack's shape.
     """
-    *_, dmean = _slope(config, state, phase_index)
+    _, dmean = _slope(config, state, phase_index)
     return _unstack(np.vecdot(dmean, np.asarray(weights, dtype=float)))
 
 
@@ -156,8 +146,8 @@ def phase_sensitivity(config, state, weights, phase_index=1):
     every field of the report is then an array of the phases' broadcast
     shape, each element equal to the call on that one configuration.
     """
-    A, B, mu, dmean = _slope(config, state, phase_index)
-    mean_vec, cov = photon_statistics(moments_from_blocks(A, B, mu))
+    moments, dmean = _slope(config, state, phase_index)
+    mean_vec, cov = photon_statistics(moments)
     w = np.asarray(weights, dtype=float)
     w_abs = np.abs(w)
     mean, var = estimator_stats(mean_vec, cov, w)
@@ -186,6 +176,12 @@ class LimitResult:
         return self.status == "divergent"
 
 
+def _cauchy(x, y):
+    """Product of power series whose coefficients run along the first axis,
+    truncated at SERIES_ORDER; the other axes multiply elementwise."""
+    return np.einsum("abk,a...,b...->k...", _CAUCHY, x, y)
+
+
 def zero_phase_moments(state, beta1, beta2, phase_index=1):
     """Weight-free series of photocount covariance and slope in the probe offset.
 
@@ -194,34 +190,27 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
     SERIES_ORDER, 3): cov[:, ..., k, :, :] is the coefficient of eps^k in
     the covariance matrix (k <= SERIES_ORDER), slope[:, ..., k, :] that of
     eps^k in d<n>/dphi_j (k < SERIES_ORDER).  S(eps) = I + (exp(rate eps)
-    - 1) L[:, j] R[j] exactly, L and R the halves around the phase stage.
-    Row 1 of each repeats row 0's computation on the moduli of all
-    inputs: a cancellation-free bound.
+    - 1) L[:, j] R[j] exactly, L and R the halves around the phase stage,
+    and the moments are gaussian.photocounts on its series.  Row 1 of each
+    repeats row 0's computation on the moduli of all inputs: a
+    cancellation-free bound.  A cell whose moments are not finite (they
+    overflow at large gains or amplitudes) is nan.
     """
-    _, rate, LR = _phase_probe(InterferometerConfig.balanced(beta1, beta2).mixer_matrices(),
-                               phase_index)
-    S = np.zeros((2, *LR.shape[:-2], SERIES_ORDER + 1, 3, 3), dtype=complex)
-    S[..., 0, :, :] = _EYE
-    S[0, ..., 1:, :, :] = np.cumprod(rate / _ORDERS[1:])[:, None, None] * LR[..., None, :, :]
-    S[1, ..., 1:, :, :] = np.abs(S[0, ..., 1:, :, :])
-    a = state.alpha_vector
-    alpha = np.array([a, np.abs(a)])
-
-    # propagate and photon_statistics on series
-    A, B = from_mode_matrix(S)
-    mu = (np.einsum("x...kil,xl->x...ki", A, alpha)
-          + np.einsum("x...kil,xl->x...ki", B, np.conj(alpha)))
-    N = np.einsum("abk,x...ail,x...bjl->x...kij", _CAUCHY, np.conj(B), B)
-    M = np.einsum("abk,x...ail,x...bjl->x...kij", _CAUCHY, A, B)
-    mu_conj = np.conj(mu)
-    mu_mu = np.einsum("abk,x...ai,x...bj->x...kij", _CAUCHY, mu_conj, mu)
-    mean = np.real(np.diagonal(N + mu_mu, axis1=-2, axis2=-1))
-    mu_mu_conj = np.einsum("abk,x...ai,x...bj->x...kij", _CAUCHY, mu_conj, mu_conj)
-    cov = mean[..., None] * _EYE + np.real(
-        np.einsum("abk,x...aij,x...bij->x...kij", _CAUCHY, np.conj(N), N)
-        + np.einsum("abk,x...aij,x...bij->x...kij", _CAUCHY, np.conj(M), M)
-        + 2.0 * np.einsum("abk,x...aij,x...bji->x...kij", _CAUCHY, mu_mu, N)
-        + 2.0 * np.einsum("abk,x...aij,x...bij->x...kij", _CAUCHY, mu_mu_conj, M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, rate, LR = _phase_probe(
+            InterferometerConfig.balanced(beta1, beta2).mixer_matrices(), phase_index)
+        # S[k, x] is the eps^k coefficient of S(eps), of its moduli for x = 1
+        S = np.zeros((SERIES_ORDER + 1, 2, *LR.shape[:-2], 3, 3), dtype=complex)
+        S[0] = _EYE
+        S[1:, 0] = np.cumprod(rate / _ORDERS[1:]).reshape(-1, *(1,) * LR.ndim) * LR
+        S[1:, 1] = np.abs(S[1:, 0])
+        a = state.slot_vector
+        m = np.einsum("kx...il,xl->kx...i", S, np.array([a, np.abs(a)]))
+        mean, cov = photocounts(m, S[..., :, 0], np.real(noise_pairing(S, S, _cauchy)),
+                                _cauchy)
+    cov, mean = np.moveaxis(cov, 0, -3), np.moveaxis(mean, 0, -2)
+    overflow = ~np.isfinite(cov).all(axis=(0, -3, -2, -1))
+    cov[:, overflow] = mean[:, overflow] = math.nan
     return cov, _ORDERS[1:, None] * mean[..., 1:, :]
 
 
@@ -230,9 +219,9 @@ def _leading_term(value, bound):
     is not rounding residue of its bound; order = the series length where
     there is none."""
     nonzero = np.abs(value) > NO_SIGNAL_RTOL * bound
-    first = nonzero.argmax(axis=-1, keepdims=True)  # 0 where there is none
-    return (first[..., 0] + value.shape[-1] * ~nonzero.any(axis=-1),
-            np.take_along_axis(value, first, axis=-1)[..., 0])
+    first = nonzero.argmax(axis=-1)  # 0 where there is none
+    return (first + value.shape[-1] * ~nonzero.any(axis=-1),
+            value[(*np.indices(first.shape, sparse=True), first)])
 
 
 def limit_from_moments(moments, weights):
@@ -245,6 +234,8 @@ def limit_from_moments(moments, weights):
     lengths, where a series has no nonzero coefficient), and delta_phi =
     sqrt(V_p) / |D_q| where p = 2q and V_p > 0, inf where p < 2q or the
     slope vanishes (divergent), nan otherwise (no finite nonzero limit).
+    A nan series, from moments that are not finite, has no nonzero
+    coefficient and gives nan, never inf.
     """
     cov, slope = moments
     w = np.asarray(weights, dtype=float)
@@ -253,7 +244,8 @@ def limit_from_moments(moments, weights):
     q, D = _leading_term(*np.einsum("x...i,x...ki->x...k", w, slope))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sqrt(V) / np.abs(D)
-    return np.where(p == 2 * q, ratio, np.where(p < 2 * q, math.inf, math.nan)), p, q
+    divergent = (p < 2 * q) & ~np.isnan(V)
+    return np.where(p == 2 * q, ratio, np.where(divergent, math.inf, math.nan)), p, q
 
 
 def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
@@ -261,10 +253,15 @@ def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
 
     Status "ok" with sqrt(V_p) / |D_q| when the leading orders satisfy
     p = 2q; "divergent" with delta_phi = inf when p < 2q or the slope
-    series vanishes.  Anything else raises NonConvergentLimitError.
+    series vanishes.  Anything else raises NonConvergentLimitError, and so
+    do moments that are not finite.
     """
     dphi, p, q = require_convergent(*limit_from_moments(
         zero_phase_moments(state, beta1, beta2, phase_index), weights))
+    if math.isnan(dphi):
+        raise NonConvergentLimitError(
+            f"photocount moments are not finite at beta = ({beta1}, {beta2}) "
+            f"and alpha = {state.alpha}")
     orders = None if q == SERIES_ORDER else (
         None if p > SERIES_ORDER else int(p), int(q))
     return LimitResult(float(dphi), "divergent" if math.isinf(dphi) else "ok", orders)
@@ -272,8 +269,9 @@ def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
 
 def require_convergent(dphi, p, q):
     """limit_from_moments output, or NonConvergentLimitError naming the orders
-    of its first cell with no finite nonzero limit (one with a slope and p > 2q)."""
-    bad = np.flatnonzero(np.isnan(dphi))
+    of its first cell with no finite nonzero limit (one with a slope and p > 2q).
+    Cells whose moments are not finite have no slope series and stay nan."""
+    bad = np.flatnonzero(np.isnan(dphi) & (q < SERIES_ORDER))
     if bad.size:
         p0, q0 = int(np.ravel(p)[bad[0]]), int(np.ravel(q)[bad[0]])
         raise NonConvergentLimitError(
@@ -336,14 +334,18 @@ def n_total(config, state=None):
     the phase stage.  Accepts an InterferometerConfig (or a (beta1,
     beta2) pair, which is promoted to the balanced cascade) and an input
     state, defaulting to vacuum.  A float for one configuration; gain
-    arrays give an array of their broadcast shape.
+    arrays give an array of their broadcast shape.  nan where the photon
+    number overflows.
     """
     if not hasattr(config, "mid_matrix"):
         beta1, beta2 = config
         config = InterferometerConfig.balanced(beta1, beta2)
     if state is None:
         state = InputState.vacuum()
-    return _unstack(np.sum(photon_means(propagate(config.mid_matrix(), state)), axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = propagate(config.mid_matrix(), state)
+        n = np.sum(moments.v + np.abs(moments.m) ** 2, axis=-1)
+    return _unstack(np.where(np.isfinite(n), n, math.nan))
 
 
 def n_total_closed_form(beta1, beta2):

@@ -139,6 +139,50 @@ def test_bad_parameter_value_is_usage_error(tmp_path, capsys, command, key):
     assert not (tmp_path / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command,key", [
+    (["optimize"], "beta1=1000"),
+    (["sensitivity"], "beta1=800"),
+])
+def test_overflowing_single_point_is_a_guard(tmp_path, capsys, command, key):
+    """Finite inputs whose moments overflow leave no finite cell: a guard,
+    not a divergent limit, a traceback or a check failure."""
+    rc = main([*command, "--set", key, "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("guard:")
+
+
+def _csv_rows(path):
+    return np.array([[float(x) for x in line.split(",")]
+                     for line in path.read_text().splitlines()[1:]
+                     if not line.startswith("#") and line[0] not in "abcdefghijklmnopqrstuvwxyz"])
+
+
+def test_overflowing_scaling_cells_read_nan(tmp_path):
+    """Cells whose moments overflow read nan, never inf (divergent); the
+    cells below the overflow keep their values."""
+    rc = main(["figure", "5", "--set", "hi=900", "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    beta, n, *dphi, heisenberg = _csv_rows(tmp_path / "fig5.csv").T
+    # the variance series, ~n^2, overflows from beta ~ 355, n itself from ~ 710
+    assert np.isfinite([n, *dphi, heisenberg])[:, beta < 300].all()
+    assert np.isnan(dphi)[:, beta > 355].all()
+    assert np.isnan([n, heisenberg])[:, beta > 710].all()
+
+
+def test_overflowing_ratio_cells_read_nan(tmp_path):
+    """The optimal ratio of a cell whose moments overflow is nan; it does not
+    reach the pseudo-inverse, which fails on non-finite matrices."""
+    rc = main(["figure", "6", "--set", "alpha_hi=1e200", "--out", str(tmp_path),
+               "--no-timestamp"])
+    assert rc == 0
+    rows = _csv_rows(tmp_path / "fig6.csv")
+    overflow = rows[:, 1] > 1e160
+    assert overflow.any() and not overflow.all()
+    assert np.isnan(rows[overflow, 2]).all()
+    assert not np.isinf(rows[:, 2]).any()
+    assert np.isfinite(rows[rows[:, 1] == 0.0, 2]).all()
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     rc = main(["sensitivity", "--set", "bogus=1", "--out", str(tmp_path)])
     assert rc == 2
@@ -253,10 +297,11 @@ def test_figure3_csv_layout(tmp_path):
 
 
 # sha256 of the default `figure 3 --no-timestamp` fig3.csv, recorded when the
-# slope came from the rank-one derivative of the phase stage inside the
-# chronological product; the cells' values are checked against high-precision
-# references in tests/test_optimizer.py
-FIG3_DEFAULT_SHA256 = "7b65ff4cb51336163b073ff36cab2a52f5d5a8ac16370d09fde14ea8323ab9be"
+# photocount moments came from the closed form on the slots (rank-one output
+# noise) and the slope from the rank-one derivative of the phase stage; the
+# cells' values are checked against high-precision references in
+# tests/test_optimizer.py
+FIG3_DEFAULT_SHA256 = "5490c8b45515b4e66652705d0d7151b27f6dc5939316afa747e989a66257cf8d"
 
 
 def test_figure3_default_csv_bytes_are_pinned(tmp_path):
@@ -269,9 +314,11 @@ def test_figure3_default_csv_bytes_are_pinned(tmp_path):
 # sha256 of the default `--no-timestamp` CSVs of the zero-phase figures,
 # recorded while their sweeps still made one scalar call per sample; the
 # gain-stacked calls that replaced the loops reproduce them byte for byte.
-# Figures 6 and 7 were recorded from the gain-stacked sweeps.
+# Figures 6 and 7 were recorded from the gain-stacked sweeps, figure 4 from
+# the slot closed form, whose rounding moves some of its cells (checked
+# against high-precision references in tests/test_optimizer.py).
 FIGURE_DEFAULT_SHA256 = {
-    ("4", None): "d9c0ea67ead47e577f8c14a23381b00695acb845aca93df184459abe80d307d3",
+    ("4", None): "bec3167e153edc37ac17bac773f795332b50608ba7aec5d8408175015aadce83",
     ("5", None): "b83ed0f7e5be2e1fe63e71513d782df277a5095193158625de16af3632e3c2d7",
     ("8", "a"): "1de52e9e6ccc2d6766da5461954af12e5ecf1a44071c86f204f1ae238f3f054e",
     ("8", "b"): "3b6a8ac815f27490f15cfa5b4ba03a6c06985e831a20e6328dfe75d2141c3a7b",

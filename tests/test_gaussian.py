@@ -1,18 +1,65 @@
-"""Bogoliubov propagation and photon statistics against known closed forms
-and the truncated-Fock simulator."""
+"""Photocount moments of the slot closed form against a Bogoliubov/Wick
+reference, known closed forms and the truncated-Fock simulator."""
+
+import math
 
 import numpy as np
 import pytest
 
 from su12sim.fock_oracle import TruncatedFockSpace, photon_statistics_fock
-from su12sim.gaussian import (
-    InputState,
-    estimator_stats,
-    from_mode_matrix,
-    photon_statistics,
-    propagate,
-)
+from su12sim.gaussian import InputState, estimator_stats, photon_statistics, propagate
 from su12sim.interferometer import InterferometerConfig, fwm_matrix
+from su12sim.sensitivity import SERIES_ORDER, zero_phase_moments
+
+
+# ---------------------------------------------------------------------------
+# Reference: the general Bogoliubov split a_out = A a + B a^dag and Wick's
+# theorem on its noise moments N = <da^dag da>, M = <da da>.  It shares no
+# formula with the closed form on the slots that the library uses.
+# ---------------------------------------------------------------------------
+
+def from_mode_matrix(S):
+    """Blocks (A, B) of a_out = A a + B a^dag for mode matrices S (..., 3, 3).
+
+    Row 1 of S gives a1_out directly; rows 2 and 3 give the conjugate-mode
+    creation operators, so those rows conjugate.
+    """
+    S = np.asarray(S, dtype=complex)
+    conj = np.conj(S)
+    A, B = np.zeros((2, *S.shape), dtype=complex)
+    A[..., 0, 0] = S[..., 0, 0]
+    B[..., 0, 1:] = S[..., 0, 1:]
+    B[..., 1:, 0] = conj[..., 1:, 0]
+    A[..., 1:, 1:] = conj[..., 1:, 1:]
+    return A, B
+
+
+def wick_reference(S, alpha):
+    """Photocount means (K, 3) and covariances (K, 3, 3) of the power series
+    S (K, 3, 3) of mode matrices (K = 1: one matrix) on coherent amplitudes
+    alpha, by Wick's theorem:
+
+        <n_i> = N_ii + |mu_i|^2
+        Cov(n_i, n_j) = |N_ij|^2 + |M_ij|^2 + delta_ij <n_i>
+                        + 2 Re(mu_i^* mu_j N_ji) + 2 Re(mu_i^* mu_j^* M_ij)
+
+    with every product a truncated series product.
+    """
+    A, B = from_mode_matrix(S)
+    mu = A @ alpha + B @ np.conj(alpha)
+
+    def series(term):
+        return np.array([sum(term(a, k - a) for a in range(k + 1)) for k in range(len(S))])
+
+    N = series(lambda a, b: np.conj(B[a]) @ B[b].T)
+    M = series(lambda a, b: A[a] @ B[b].T)
+    mu_mu = series(lambda a, b: np.outer(np.conj(mu[a]), mu[b]))
+    mu_mu_conj = series(lambda a, b: np.outer(np.conj(mu[a]), np.conj(mu[b])))
+    mean = np.real(np.diagonal(N + mu_mu, axis1=-2, axis2=-1))
+    cov = mean[:, :, None] * np.eye(3) + np.real(series(
+        lambda a, b: np.conj(N[a]) * N[b] + np.conj(M[a]) * M[b]
+        + 2.0 * mu_mu[a] * N[b].T + 2.0 * mu_mu_conj[a] * M[b]))
+    return mean, cov
 
 
 def _single_fwm(beta, theta=0.0, pair="12"):
@@ -66,6 +113,7 @@ def _random_config(rng):
 
 
 def test_bogoliubov_blocks_from_mode_matrix():
+    """The reference split."""
     S = fwm_matrix(0.8, 0.3, "12")
     A, B = from_mode_matrix(S)
     # row 0 transforms annihilators directly, rows 1..2 come conjugated
@@ -94,6 +142,45 @@ def test_stacked_split_equals_per_matrix_split():
         a, b = from_mode_matrix(mats[idx])
         assert np.array_equal(A[idx].view(np.uint64), a.view(np.uint64))
         assert np.array_equal(B[idx].view(np.uint64), b.view(np.uint64))
+
+
+def _random_alpha(rng):
+    return 0.8 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+
+
+def test_closed_form_matches_wick_reference():
+    """Means and covariances of the slot closed form agree with Wick's
+    theorem on the Bogoliubov split, on vacuum and coherent inputs."""
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        S = _random_config(rng).total_matrix()
+        for alpha in (np.zeros(3, dtype=complex), _random_alpha(rng)):
+            mean, cov = photon_statistics(propagate(S, InputState(tuple(alpha))))
+            ref_mean, ref_cov = wick_reference(S[None], alpha)
+            for x, ref in ((mean, ref_mean[0]), (cov, ref_cov[0])):
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("phase_index", [1, 2, 3])
+def test_zero_phase_series_matches_wick_reference(phase_index):
+    """The series of zero_phase_moments agree with Wick's theorem on the
+    series S(eps) = I + (exp(rate eps) - 1) L[:, j] R[j], coefficient by
+    coefficient, within 1e-12 of their cancellation-free magnitude."""
+    rng = np.random.default_rng(31 + phase_index)
+    j = phase_index - 1
+    rate = 1j if j == 0 else -1j
+    for b1, b2 in ((3.0, 3.0), (0.4, 1.7), (2.2, 0.3)):
+        S1, S2, S3, S4 = InterferometerConfig.balanced(b1, b2).mixer_matrices()
+        LR = np.outer((S4 @ S3)[:, j], (S2 @ S1)[j])
+        S = np.array([np.eye(3)] + [rate ** k / math.factorial(k) * LR
+                                    for k in range(1, SERIES_ORDER + 1)])
+        for alpha in (np.zeros(3, dtype=complex), _random_alpha(rng)):
+            (cov, gross), (slope, slope_gross) = zero_phase_moments(
+                InputState(tuple(alpha)), b1, b2, phase_index)
+            ref_mean, ref_cov = wick_reference(S, alpha)
+            ref_slope = np.arange(1, SERIES_ORDER + 1)[:, None] * ref_mean[1:]
+            assert np.all(np.abs(cov - ref_cov) <= 1e-12 * gross)
+            assert np.all(np.abs(slope - ref_slope) <= 1e-12 * slope_gross)
 
 
 def test_phase_only_circuit_keeps_photon_numbers():
@@ -131,8 +218,7 @@ def test_stacked_transforms_give_stacked_moments():
                                rng.uniform(0, 2 * np.pi, (2, 3)), 0.5, rng.uniform(0, 2 * np.pi, 3))
     state = InputState((0.5, 0.2j, -0.3 + 0.1j))
     moments = propagate(cfg, state)
-    assert moments.mu.shape == (2, 3, 3)
-    assert moments.N.shape == moments.M.shape == (2, 3, 3, 3)
+    assert moments.m.shape == moments.s.shape == moments.v.shape == (2, 3, 3)
     mean, cov = photon_statistics(moments)
     assert mean.shape == (2, 3, 3) and cov.shape == (2, 3, 3, 3)
     S = cfg.total_matrix()

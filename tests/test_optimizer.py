@@ -96,18 +96,29 @@ def test_vacuum_optimum_sits_in_the_valley():
 
 def test_search_propagates_once_per_configuration(monkeypatch):
     """The optimal weights and their zero-phase limit come from one set of
-    series moments: the cascade goes through the Bogoliubov split once."""
-    splits = []
-    split = sensitivity.from_mode_matrix
+    series moments: the closed form runs once, on the series of the cascade."""
+    calls = []
+    photocounts = sensitivity.photocounts
 
-    def counting(S):
-        splits.append(np.shape(S))
-        return split(S)
+    def counting(m, s, v, mul=np.multiply):
+        calls.append((np.shape(m), mul))
+        return photocounts(m, s, v, mul)
 
-    monkeypatch.setattr(sensitivity, "from_mode_matrix", counting)
+    monkeypatch.setattr(sensitivity, "photocounts", counting)
     res = optimize_weights(VAC, 3.0, 3.0)
     assert res.evaluations == 1
-    assert len(splits) == 1
+    assert calls == [((sensitivity.SERIES_ORDER + 1, 2, 3), sensitivity._cauchy)]
+
+
+def test_overflowing_gain_cell_gets_nan_weights():
+    """A cell whose moments overflow is kept out of the solve: it reads nan
+    and the other cell matches its own call."""
+    res = optimize_weights(VAC, np.array([3.0, 1000.0]), 3.0)
+    one = optimize_weights(VAC, 3.0, 3.0)
+    # the batched pseudo-inverse may round differently from a single one
+    assert np.allclose(res.weights[0], one.weights, rtol=1e-13, atol=1e-13)
+    assert res.value[0] == pytest.approx(one.value, rel=1e-15)
+    assert math.isnan(res.value[1]) and np.isnan(res.weights[1]).all()
 
 
 def test_weight_surface_matches_per_cell_sensitivity():
@@ -206,6 +217,29 @@ def test_phase_surface_cells_match_high_precision_values():
     for (i2, i3), ref in FIG3_CELLS_MPMATH.items():
         phi2, phi3, dphi1 = rows[61 * i2 + i3]
         assert (phi2, phi3) == (axis[i2], axis[i3])
+        assert dphi1 == pytest.approx(ref, rel=1e-13)
+
+
+# cells (it, ir) of the default 61 x 61 figure 4 grid (vacuum, beta = 3,
+# weights (1, t, r)) and their zero-phase dphi1 from the same cascade in
+# mpmath arithmetic of at least 60 digits at probe offset 1e-40; the first
+# four are the cells that rounding moves most
+FIG4_CELLS_MPMATH = {
+    (16, 42): 7.503088306755011732526260899671211534635,
+    (18, 31): 7.503088306755011732526260899671211534635,
+    (15, 47): 1.867587084963455559713100718758519598857,
+    (23, 3): 1.959972866390405292408149837745132323354,
+    (0, 0): 0.01660074201380736696593114120663750598674,
+    (45, 10): 0.01972296332753136750045752529345568482941,
+}
+
+
+def test_weight_surface_cells_match_high_precision_values():
+    axis = np.linspace(-3.0, 3.0, 61)
+    rows = weight_surface(VAC, 3.0, 3.0)
+    for (it, ir), ref in FIG4_CELLS_MPMATH.items():
+        t, r, dphi1 = rows[61 * it + ir]
+        assert (t, r) == (axis[it], axis[ir])
         assert dphi1 == pytest.approx(ref, rel=1e-13)
 
 

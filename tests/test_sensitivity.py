@@ -320,6 +320,22 @@ def test_first_nonconvergent_cell_raises():
     assert all(x is y for x, y in zip(require_convergent(*finite), finite))
 
 
+def test_overflowing_cells_are_nan_not_divergent():
+    """Moments that overflow make their cell nan in every quantity; cells that
+    do not overflow keep the values of their own calls, and a single point
+    with no finite moments is a guard."""
+    b1 = np.array([3.0, 400.0, 1000.0])
+    cov, slope = moments = zero_phase_moments(VAC, b1, 3.0)
+    assert np.isnan(cov[:, 1:]).all() and np.isnan(slope[:, 1:]).all()
+    dphi, p, q = require_convergent(*limit_from_moments(moments, (1.0, 0.0, 1.0)))
+    assert dphi[0] == zero_phase_limit(VAC, 3.0, 3.0, (1.0, 0.0, 1.0)).delta_phi
+    assert np.isnan(dphi[1:]).all()
+    n = n_total((b1, 3.0))
+    assert np.isfinite(n[:2]).all() and math.isnan(n[2])
+    with pytest.raises(NonConvergentLimitError, match="not finite"):
+        zero_phase_limit(VAC, 400.0, 3.0, (1.0, 0.0, 1.0))
+
+
 def test_n_total_matches_closed_form():
     assert np.isclose(n_total((3.0, 3.0)), 59.24657102639173, rtol=1e-12)
     for b1 in (0.5, 2.0, 4.5):
