@@ -333,8 +333,10 @@ def cmd_figure(n, params, outdir, timestamp):
             phi_hi=params["phi_hi"], points=params["points"],
         )
         header = ("phi2", "phi3", "dphi1")
-        k = int(np.nanargmin([r[2] for r in rows]))
-        summary.update(min_phi2=rows[k][0], min_phi3=rows[k][1], min_dphi1=rows[k][2])
+        # a table of overflowed (nan) cells has no minimum: its minima read nan
+        dphi = np.array([r[2] for r in rows])
+        best = (math.nan,) * 3 if np.isnan(dphi).all() else rows[int(np.nanargmin(dphi))]
+        summary.update(min_phi2=best[0], min_phi3=best[1], min_dphi1=best[2])
     elif n == 4:
         rows = weight_surface(
             InputState.vacuum(), params["beta1"], params["beta2"],

@@ -15,7 +15,9 @@ gives every photocount moment:
     Var(n_i) = v_i (v_i + 1) + p_i (2 v_i + 1)
 
 photocounts takes the product as an argument: elementwise at a point, the
-truncated series product for the series of sensitivity.zero_phase_moments.
+truncated series product for sensitivity.zero_phase_moments, which passes
+the series of m, s and v of the balanced cascade's echo form
+S(eps) = I + f l r^T (f = exp(rate eps) - 1) straight to it.
 """
 
 from dataclasses import dataclass
@@ -72,12 +74,12 @@ class OutputMoments:
     v: np.ndarray
 
 
-def noise_pairing(S, T, mul=np.multiply):
+def noise_pairing(S, T):
     """conj(S) T summed as in the noise photon numbers v = Re noise_pairing(S, S):
     over S[0, 1:] for mode 1, S[i, 0] alone for modes 2 and 3.  It is
     sesquilinear, so dv = 2 Re noise_pairing(S, dS)."""
-    x = mul(np.conj(S[..., :, 0]), T[..., :, 0])
-    x[..., 0] = np.sum(mul(np.conj(S[..., 0, 1:]), T[..., 0, 1:]), axis=-1)
+    x = np.conj(S[..., :, 0]) * T[..., :, 0]
+    x[..., 0] = np.sum(np.conj(S[..., 0, 1:]) * T[..., 0, 1:], axis=-1)
     return x
 
 

@@ -25,7 +25,9 @@ case.
 In the balanced configuration (beta4 = beta1, beta3 = beta2, recombiner
 pump phases shifted by pi, all internal phases zero) the cascade undoes
 itself and the total matrix is the identity, which is the working point
-for phase estimation.
+for phase estimation.  The recombiners are then the inverse of the
+splitters R = S2 S1, which splitter_matrix gives in closed form:
+S4 S3 = R^-1 = G R^T G with G = diag(1, -1, -1).
 """
 
 from dataclasses import dataclass, replace
@@ -50,6 +52,18 @@ def fwm_matrix(beta, theta, pair="12"):
     else:
         raise ValueError(f"pair must be '12' or '13', got {pair!r}")
     m = np.array(rows, dtype=complex)
+    return m.transpose((*range(2, m.ndim), 0, 1))
+
+
+def splitter_matrix(beta1, beta2):
+    """Real transform R = S2 S1 of the two splitter mixers at zero pump phase,
+    (..., 3, 3) over the broadcast gains.  With ci = cosh(betai / 2) and
+    si = sinh(betai / 2), R = [[c1 c2, s1 c2, s2], [s1, c1, 0], [s2 c1, s2 s1, c2]].
+    """
+    c1, s1, c2, s2 = np.broadcast_arrays(np.cosh(beta1 / 2.0), np.sinh(beta1 / 2.0),
+                                         np.cosh(beta2 / 2.0), np.sinh(beta2 / 2.0))
+    m = np.array([[c1 * c2, s1 * c2, s2], [s1, c1, np.zeros_like(c1)],
+                  [s2 * c1, s2 * s1, c2]])
     return m.transpose((*range(2, m.ndim), 0, 1))
 
 
@@ -136,9 +150,3 @@ class InterferometerConfig:
     def total_matrix(self):
         """Full input->output mode transform (chronological product), (..., 3, 3)."""
         return chronological_product(self.stage_matrices())
-
-    def mid_matrix(self):
-        """Transform up to the midpoint (after both splitter FWMs)."""
-        return fwm_matrix(self.beta2, self.theta2, "13") @ fwm_matrix(
-            self.beta1, self.theta1, "12"
-        )

@@ -52,8 +52,10 @@ class OptimizationResult:
     lit or pinned port left out, r/t when it is port 1, r/s for port 2 and
     t/s for port 3; empty when one port is free.  A zero first free weight
     makes the ratios infinite.  On a gain stack, limit holds arrays, and a
-    cell with no finite sensitivity is nan with status "divergent".
-    evaluations counts the weight vectors evaluated, one per cell.
+    cell with no finite sensitivity is nan.  Its status is "overflow" where
+    the cell's photocount moments are not finite and "divergent" otherwise;
+    a finite cell is "ok" (see LimitResult).  evaluations counts the weight
+    vectors evaluated, one per cell.
     """
 
     point: np.ndarray
@@ -103,11 +105,12 @@ def optimize_weights(state, beta1, beta2, phase_index=1, *, fixed_zero=None):
     ratios = w[..., free]
     with np.errstate(divide="ignore", invalid="ignore"):
         point = ratios[..., 1:] / ratios[..., :1]
+    overflow = np.isnan(c2).any(axis=(-2, -1))
+    status = np.where(finite, "ok", np.where(overflow, "overflow", "divergent"))
     return OptimizationResult(
         point=point,
         weights=w,
-        limit=LimitResult(_unstack(np.where(finite, dphi, math.nan)),
-                          _unstack(np.where(finite, "ok", "divergent")),
+        limit=LimitResult(_unstack(np.where(finite, dphi, math.nan)), _unstack(status),
                           (_unstack(p), _unstack(q))),
         evaluations=finite.size,
     )

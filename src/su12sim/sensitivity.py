@@ -13,7 +13,9 @@ The slope is exact.  With R = S2 S1 the splitters, L = S4 S3 the
 recombiners and P the diagonal phase stage, the cascade is S = L P R, and
 only P_jj = exp(rate phi_j) moves with phi_j, so dS/dphi_j = rate P_jj
 L[:, j] R[j] is rank one.  phase_sensitivity and mean_derivative take it
-at a phase point, zero_phase_moments expands S(eps) in the same form.
+at a phase point from the full product of the stages.  At zero phase the
+balanced cascade is an echo, L = R^-1, so zero_phase_moments and n_total
+need only the closed-form splitter matrix R.
 
 The quantity of interest is usually the limit of dphi_j as the probe
 phase goes to zero, taken in the balanced configuration where the
@@ -33,6 +35,8 @@ difference and has zero variance and zero slope on vacuum; coherent
 light in the bright port makes any estimator with nonzero bright-port
 weight blow up as the offset shrinks.  Such cases are reported as
 divergent rather than raising, so that parameter scans can skip them.
+Moments that overflow at large gains or amplitudes give nan instead,
+with status "overflow" in stacked results (see LimitResult).
 
 On vacuum input the balanced cascade has a large degeneracy: the
 zero-phase sensitivity depends on the weights only through the single
@@ -47,7 +51,7 @@ import numpy as np
 
 from .gaussian import (InputState, estimator_stats, noise_pairing, photocounts,
                        photon_statistics, propagate)
-from .interferometer import InterferometerConfig, chronological_product
+from .interferometer import chronological_product, splitter_matrix
 
 
 # a quantity within this fraction of its cancellation-free magnitude is zero
@@ -57,7 +61,8 @@ SERIES_ORDER = 2
 _ORDERS = np.arange(SERIES_ORDER + 1)
 # _CAUCHY[a, b, k] = [a + b == k]: contracting with it multiplies series
 _CAUCHY = (np.add.outer(_ORDERS, _ORDERS)[:, :, None] == _ORDERS).astype(float)
-_EYE = np.eye(3)
+# the diagonal of G = lie.METRIC = diag(1, -1, -1)
+_G = np.array([1.0, -1.0, -1.0])
 
 
 class NonConvergentLimitError(RuntimeError):
@@ -83,16 +88,11 @@ def _unstack(x):
     return x.item() if x.ndim == 0 else x
 
 
-def _phase_probe(mixers, phase_index):
-    """Index j of the probed phase-stage entry, its rate (dP_jj/dphi_j) / P_jj
-    and the outer product of L[..., :, j] and R[..., j, :], with R = S2 S1 and
-    L = S4 S3 from mixers S1..S4 (single matrices or stacks)."""
+def _probe(phase_index):
+    """Index j of the probed phase-stage entry and its rate (dP_jj/dphi_j) / P_jj."""
     if phase_index not in (1, 2, 3):
         raise ValueError(f"phase index must be 1..3, got {phase_index}")
-    S1, S2, S3, S4 = mixers
-    j = phase_index - 1
-    return j, (1j if phase_index == 1 else -1j), (
-        (S4 @ S3)[..., :, j, None] * (S2 @ S1)[..., None, j, :])
+    return phase_index - 1, (1j if phase_index == 1 else -1j)
 
 
 def _slope(config, state, phase_index):
@@ -100,11 +100,13 @@ def _slope(config, state, phase_index):
     the photocount slope d<n>/dphi_j, (..., 3).
 
     S is the chronological product of the stages.  <n> = v + |m|^2 is a
-    sum of squared moduli of entries of S, so its slope pairs them with dS.
+    sum of squared moduli of entries of S, so its slope pairs them with dS,
+    rate P_jj times the outer product of L[..., :, j] and R[..., j, :].
     """
+    j, rate = _probe(phase_index)
     S1, S2, P, S3, S4 = mats = config.stage_matrices()
-    j, rate, LR = _phase_probe((S1, S2, S3, S4), phase_index)
-    dS = (rate * P[..., j, j])[..., None, None] * LR
+    dS = (rate * P[..., j, j])[..., None, None] * (
+        (S4 @ S3)[..., :, j, None] * (S2 @ S1)[..., None, j, :])
     S = chronological_product(mats)
     moments = propagate(S, state)
     dm = dS @ state.slot_vector
@@ -140,35 +142,46 @@ def phase_sensitivity(config, state, weights, phase_index=1):
     combinations that vanish identically -- like the conserved
     photon-number difference, whose variance and slope are zero up to
     rounding of large opposing terms -- are reported as signal-free
-    instead of returning ratios of rounding noise.
+    instead of returning ratios of rounding noise.  delta_phi is nan where
+    the photocount moments are not finite (they overflow at large gains).
 
     A configuration whose phases are arrays is a stack of configurations:
     every field of the report is then an array of the phases' broadcast
     shape, each element equal to the call on that one configuration.
     """
-    moments, dmean = _slope(config, state, phase_index)
-    mean_vec, cov = photon_statistics(moments)
-    w = np.asarray(weights, dtype=float)
-    w_abs = np.abs(w)
-    mean, var = estimator_stats(mean_vec, cov, w)
-    # variance and slope w . d, each beside its gross magnitude
-    value = np.array([var, np.vecdot(dmean, w)])
-    bound = np.array([np.vecdot(w_abs @ np.abs(cov), w_abs), np.vecdot(np.abs(dmean), w_abs)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments, dmean = _slope(config, state, phase_index)
+        mean_vec, cov = photon_statistics(moments)
+        w = np.asarray(weights, dtype=float)
+        w_abs = np.abs(w)
+        mean, var = estimator_stats(mean_vec, cov, w)
+        # variance and slope w . d, each beside its gross magnitude
+        value = np.array([var, np.vecdot(dmean, w)])
+        bound = np.array([np.vecdot(w_abs @ np.abs(cov), w_abs),
+                          np.vecdot(np.abs(dmean), w_abs)])
     var, d = np.where(np.abs(value) <= NO_SIGNAL_RTOL * bound, 0.0, value)
     signal = np.isfinite(d) & (d != 0.0)
     dp = np.divide(np.sqrt(np.maximum(var, 0.0)), np.abs(d),
                    out=np.full(signal.shape, math.inf), where=signal)
-    return SensitivityReport(delta_phi=_unstack(dp), mean=_unstack(mean),
-                             variance=_unstack(var), derivative=_unstack(d))
+    finite = np.isfinite(cov).all(axis=(-2, -1)) & np.isfinite(dmean).all(axis=-1)
+    return SensitivityReport(delta_phi=_unstack(np.where(finite, dp, math.nan)),
+                             mean=_unstack(mean), variance=_unstack(var),
+                             derivative=_unstack(d))
 
 
 @dataclass(frozen=True)
 class LimitResult:
     """Zero-phase sensitivity and the leading orders (p, q) of the variance
-    and slope series that decide it; orders is None when there is no signal."""
+    and slope series that decide it; orders is None when there is no signal.
+
+    status is "ok" for a finite limit; "divergent" for none (delta_phi inf,
+    or nan where optimize_weights finds no weights with a finite one); and
+    "overflow" where the photocount moments are not finite (delta_phi nan),
+    which only stacked results hold: zero_phase_limit raises for one point.
+    """
 
     delta_phi: float
-    status: str  # "ok" or "divergent"
+    status: str
     orders: tuple | None
 
     @property
@@ -189,25 +202,38 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
     slope) of shapes (2, *G, SERIES_ORDER + 1, 3, 3) and (2, *G,
     SERIES_ORDER, 3): cov[:, ..., k, :, :] is the coefficient of eps^k in
     the covariance matrix (k <= SERIES_ORDER), slope[:, ..., k, :] that of
-    eps^k in d<n>/dphi_j (k < SERIES_ORDER).  S(eps) = I + (exp(rate eps)
-    - 1) L[:, j] R[j] exactly, L and R the halves around the phase stage,
-    and the moments are gaussian.photocounts on its series.  Row 1 of each
-    repeats row 0's computation on the moduli of all inputs: a
-    cancellation-free bound.  A cell whose moments are not finite (they
-    overflow at large gains or amplitudes) is nan.
+    eps^k in d<n>/dphi_j (k < SERIES_ORDER).
+
+    The balanced cascade is an echo: the recombiners invert the splitters
+    R, so S(eps) = I + f l r^T exactly, with r = R[j], l = G_jj G r,
+    G = diag(1, -1, -1) and f = exp(rate eps) - 1.  Its output moments are
+    m = alpha~ + f (r . alpha~) l, s = e_0 + f r_0 l and v = |f|^2 w, with
+    w_0 = (l_0 r_1)^2 + (l_0 r_2)^2 and w_i = (l_i r_0)^2 for i = 1, 2, and
+    gaussian.photocounts takes their series.  Row 1 of each result repeats
+    row 0's computation on the moduli of all inputs: a cancellation-free
+    bound.  A cell whose moments are not finite (they overflow at large
+    gains or amplitudes) is nan.
     """
+    j, rate = _probe(phase_index)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, rate, LR = _phase_probe(
-            InterferometerConfig.balanced(beta1, beta2).mixer_matrices(), phase_index)
-        # S[k, x] is the eps^k coefficient of S(eps), of its moduli for x = 1
-        S = np.zeros((SERIES_ORDER + 1, 2, *LR.shape[:-2], 3, 3), dtype=complex)
-        S[0] = _EYE
-        S[1:, 0] = np.cumprod(rate / _ORDERS[1:]).reshape(-1, *(1,) * LR.ndim) * LR
-        S[1:, 1] = np.abs(S[1:, 0])
+        r = splitter_matrix(beta1, beta2)[..., j, :]
+        ell = (_G if j == 0 else -_G) * r
+        # x = 0 rows hold the moments, x = 1 rows their moduli
+        r, ell = np.array([r, np.abs(r)]), np.array([ell, np.abs(ell)])
         a = state.slot_vector
-        m = np.einsum("kx...il,xl->kx...i", S, np.array([a, np.abs(a)]))
-        mean, cov = photocounts(m, S[..., :, 0], np.real(noise_pairing(S, S, _cauchy)),
-                                _cauchy)
+        a = np.array([a, np.abs(a)]).reshape(2, *(1,) * (r.ndim - 2), 3)
+        # f[k, x] is the eps^k coefficient of f, of its moduli for x = 1
+        f = np.zeros((SERIES_ORDER + 1, 2, *(1,) * (r.ndim - 1)), dtype=complex)
+        f[1:, 0] = np.cumprod(rate / _ORDERS[1:]).reshape(-1, *f.shape[2:])
+        f[1:, 1] = np.abs(f[1:, 0])
+        ell_r0 = ell * r[..., :1]
+        m = f * (np.sum(r * a, axis=-1, keepdims=True) * ell)
+        m[0] = a
+        s = f * ell_r0
+        s[0, ..., 0] = 1.0
+        w = ell_r0 ** 2
+        w[..., 0] = np.sum((ell[..., :1] * r[..., 1:]) ** 2, axis=-1)
+        mean, cov = photocounts(m, s, np.real(_cauchy(np.conj(f), f)) * w, _cauchy)
     cov, mean = np.moveaxis(cov, 0, -3), np.moveaxis(mean, 0, -2)
     overflow = ~np.isfinite(cov).all(axis=(0, -3, -2, -1))
     cov[:, overflow] = mean[:, overflow] = math.nan
@@ -284,25 +310,6 @@ def require_convergent(dphi, p, q):
 # Closed forms for the balanced vacuum-fed cascade.
 # ---------------------------------------------------------------------------
 
-def closed_form_offset(beta1, beta2, x):
-    """Sensitivity of the bright-pair-sum detector at recombiner offset x.
-
-    Valid for vacuum input with weights (1, 1, 0) when the recombiner
-    pump phases track the internal phase so that the result depends only
-    on the combination x = phi1 + theta4 (with theta3 = pi - phi1).
-    """
-    num = np.sinh(beta1) * np.abs(np.cos(x / 2.0))
-    den = np.cosh(beta2 / 2.0) ** 2 * np.sinh(beta1) ** 2 * np.abs(np.sin(x))
-    root = np.sqrt(2.0 * np.sinh(beta1) ** 2 * np.cos(x) + np.cosh(2.0 * beta1) + 3.0)
-    return num / den * root
-
-
-def closed_form_offset_highgain(beta2, x):
-    """High-gain (large beta1) simplification of closed_form_offset."""
-    return (np.sqrt(2.0 * np.cos(x) + 2.0) * np.abs(np.cos(x / 2.0))
-            / (np.cosh(beta2 / 2.0) ** 2 * np.abs(np.sin(x))))
-
-
 def closed_form_limit(beta1, beta2):
     """Zero-offset limit of the bright-pair-sum sensitivity (vacuum input)."""
     num = 2.0 * np.sqrt(
@@ -326,24 +333,21 @@ def su11_benchmark(beta):
     return 1.0 / np.sinh(beta)
 
 
-def n_total(config, state=None):
-    """Total mean photon number inside the cascade, at the midpoint.
+def n_total(betas, state=None):
+    """Total mean photon number inside the balanced cascade, at the midpoint.
 
     This is the resource count against which sensitivity scalings are
     judged: every photon present after the two splitter FWMs traverses
-    the phase stage.  Accepts an InterferometerConfig (or a (beta1,
-    beta2) pair, which is promoted to the balanced cascade) and an input
-    state, defaulting to vacuum.  A float for one configuration; gain
-    arrays give an array of their broadcast shape.  nan where the photon
-    number overflows.
+    the phase stage.  Takes a (beta1, beta2) pair and an input state,
+    defaulting to vacuum, and propagates the state through the splitter
+    matrix R.  A float for one configuration; gain arrays give an array
+    of their broadcast shape.  nan where the photon number overflows.
     """
-    if not hasattr(config, "mid_matrix"):
-        beta1, beta2 = config
-        config = InterferometerConfig.balanced(beta1, beta2)
+    beta1, beta2 = betas
     if state is None:
         state = InputState.vacuum()
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = propagate(config.mid_matrix(), state)
+        moments = propagate(splitter_matrix(beta1, beta2), state)
         n = np.sum(moments.v + np.abs(moments.m) ** 2, axis=-1)
     return _unstack(np.where(np.isfinite(n), n, math.nan))
 

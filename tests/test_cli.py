@@ -314,18 +314,20 @@ def test_figure3_default_csv_bytes_are_pinned(tmp_path):
 # sha256 of the default `--no-timestamp` CSVs of the zero-phase figures,
 # recorded while their sweeps still made one scalar call per sample; the
 # gain-stacked calls that replaced the loops reproduce them byte for byte.
-# Figures 6 and 7 were recorded from the gain-stacked sweeps, figure 4 from
-# the slot closed form, whose rounding moves some of its cells (checked
-# against high-precision references in tests/test_optimizer.py).
+# Figure 4 was recorded from the slot closed form, whose rounding moves some
+# of its cells (checked against high-precision references in
+# tests/test_optimizer.py).  Figures 6, 7 and 8b-d were recorded from the
+# echo form of the zero-phase series (exact pump phase pi); the cells it
+# moves are checked against tests/mp_reference.py in tests/test_optimizer.py.
 FIGURE_DEFAULT_SHA256 = {
     ("4", None): "bec3167e153edc37ac17bac773f795332b50608ba7aec5d8408175015aadce83",
     ("5", None): "b83ed0f7e5be2e1fe63e71513d782df277a5095193158625de16af3632e3c2d7",
     ("8", "a"): "1de52e9e6ccc2d6766da5461954af12e5ecf1a44071c86f204f1ae238f3f054e",
-    ("8", "b"): "3b6a8ac815f27490f15cfa5b4ba03a6c06985e831a20e6328dfe75d2141c3a7b",
-    ("8", "c"): "f4bf78b1b33f8beb27fd066372f53025e178b11f98c670443a4fd4cdcff79e70",
-    ("8", "d"): "2a30d8cc8334732754376e0fe7f265a7eb0355274654178dd28ae34d27e12f6b",
-    ("6", None): "efc77fe3abe8d24906dde5121916b8bf78120f1d1c0e85261206039b7e1ae6da",
-    ("7", None): "6c675276e27db4a96e017cbc98187c262510acb8ebaabbc1cd944a4a34185288",
+    ("8", "b"): "6eba1d4a60c51a180f4a702df86fc9158dcad52da155e8854fa87310468c1dc9",
+    ("8", "c"): "950ea58c92d3824036438e345a7690d9846f961b7190068df2102a5afcb59a9d",
+    ("8", "d"): "ff3a1b0859d847ce74bb051a089b092dad56e602606aa8e7bfa11a00f7b3acf4",
+    ("6", None): "65e574f93be0fc422201798c023eaf7fe0b26dd47df3281bebfad0797e189baf",
+    ("7", None): "77b8bb3539a8168552bbd05b062eb434483fe7bad49ef8ac701a9ccbe53f2cb3",
 }
 
 
@@ -336,6 +338,19 @@ def test_zero_phase_figure_default_csv_bytes_are_pinned(tmp_path, figure, panel)
     assert rc == 0
     data = (tmp_path / f"fig{figure}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == FIGURE_DEFAULT_SHA256[figure, panel]
+
+
+def test_figure3_overflow_reads_nan_not_no_signal(tmp_path):
+    """At beta1 = 800 the moments overflow in every cell: each cell and the
+    minima read nan, and the run still writes its table."""
+    rc = main(["figure", "3", "--set", "beta1=800", "--set", "points=5",
+               "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    lines = (tmp_path / "fig3.csv").read_text().splitlines()
+    rows = [ln for ln in lines if ln and not ln.startswith("#")][1:]
+    assert len(rows) == 25 and all(ln.endswith(",nan") for ln in rows)
+    s = read_summary(tmp_path / "summary.txt")
+    assert [s[k] for k in ("min_phi2", "min_phi3", "min_dphi1")] == ["nan"] * 3
 
 
 def test_figure3_rejects_zero_gain(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from su12sim.interferometer import InterferometerConfig, fwm_matrix, phase_matrix
+from su12sim.interferometer import (InterferometerConfig, fwm_matrix, phase_matrix,
+                                    splitter_matrix)
 from su12sim.lie import GENERATORS, membership_defect
 
 
@@ -93,11 +94,30 @@ def test_with_phases_replaces_only_phases():
     assert (cfg2.phi1, cfg2.phi2, cfg2.phi3) == (0.1, 0.2, 0.3)
 
 
-def test_mid_matrix_is_first_two_stages():
-    cfg = InterferometerConfig.balanced(1.5, 0.7)
-    m1 = fwm_matrix(cfg.beta1, cfg.theta1, "12")
-    m2 = fwm_matrix(cfg.beta2, cfg.theta2, "13")
-    assert np.allclose(cfg.mid_matrix(), m2 @ m1, atol=1e-14)
+def test_splitter_matrix_is_first_two_stages():
+    """The closed-form R equals the product of the two splitter mixers bit for
+    bit, on a gain stack with zero gains and cell by cell."""
+    b1, b2 = np.meshgrid([0.0, 0.4, 1.5, 3.0, 6.0], [0.0, 0.7, 2.5, 5.5], indexing="ij")
+    R = splitter_matrix(b1, b2)
+    assert R.shape == (5, 4, 3, 3) and R.dtype == float
+    product = fwm_matrix(b2, 0.0, "13") @ fwm_matrix(b1, 0.0, "12")
+    assert np.array_equal(_bits(R), _bits(product.real)) and not product.imag.any()
+    for idx in np.ndindex(b1.shape):
+        assert np.array_equal(_bits(splitter_matrix(b1[idx], b2[idx])), _bits(R[idx]))
+
+
+@pytest.mark.parametrize("phase_index", [1, 2, 3])
+def test_balanced_recombiners_echo_the_splitters(phase_index):
+    """The float-pi recombiner column L[:, j] = (S4 S3)[:, j] is G_jj G R[j],
+    G = diag(1, -1, -1), up to the rounding of sin(pi)."""
+    rng = np.random.default_rng(37 + phase_index)
+    b1, b2 = rng.uniform(0.1, 6.0, (2, 200))
+    j = phase_index - 1
+    _, _, S3, S4 = InterferometerConfig.balanced(b1, b2).mixer_matrices()
+    G = np.array([1.0, -1.0, -1.0])
+    echo = G[j] * G * splitter_matrix(b1, b2)[:, j, :]
+    L = (S4 @ S3)[:, :, j]
+    assert np.all(np.abs(L - echo) <= 4e-16 * np.abs(echo))
 
 
 def test_phase_arrays_give_stacks_of_group_members():
@@ -134,8 +154,9 @@ def test_gain_arrays_give_stacks_equal_to_scalar_calls():
         for j in range(3):
             assert np.array_equal(_bits(stack[j]), _bits(fwm_matrix(1.3, thetas[j], pair)))
     cfg = InterferometerConfig.balanced(betas, 2.0, phi1=0.2)
-    assert cfg.total_matrix().shape == cfg.mid_matrix().shape == (2, 3, 3, 3)
+    R = splitter_matrix(betas, 2.0)
+    assert cfg.total_matrix().shape == R.shape == (2, 3, 3, 3)
     for i, j in np.ndindex(betas.shape):
         one = InterferometerConfig.balanced(betas[i, j], 2.0, phi1=0.2)
         assert np.array_equal(_bits(cfg.total_matrix()[i, j]), _bits(one.total_matrix()))
-        assert np.array_equal(_bits(cfg.mid_matrix()[i, j]), _bits(one.mid_matrix()))
+        assert np.array_equal(_bits(R[i, j]), _bits(splitter_matrix(betas[i, j], 2.0)))

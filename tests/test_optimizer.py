@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mp_reference
 from su12sim import sensitivity
 from su12sim.gaussian import InputState
 from su12sim.optimizer import (
@@ -119,6 +120,16 @@ def test_overflowing_gain_cell_gets_nan_weights():
     assert np.allclose(res.weights[0], one.weights, rtol=1e-13, atol=1e-13)
     assert res.value[0] == pytest.approx(one.value, rel=1e-15)
     assert math.isnan(res.value[1]) and np.isnan(res.weights[1]).all()
+
+
+def test_overflowing_gain_cell_has_its_own_status():
+    """A cell whose moments overflow reads "overflow", not "divergent"; a
+    zero-gain cell, which carries no signal, stays "divergent"."""
+    res = optimize_weights(VAC, np.array([3.0, 1000.0]), 3.0)
+    assert res.limit.status.tolist() == ["ok", "overflow"]
+    res = optimize_weights(VAC, np.array([0.0, 3.0, 1000.0]), np.array([0.0, 3.0, 3.0]))
+    assert res.limit.status.tolist() == ["divergent", "ok", "overflow"]
+    assert np.isnan(res.value[[0, 2]]).all()
 
 
 def test_weight_surface_matches_per_cell_sensitivity():
@@ -241,6 +252,46 @@ def test_weight_surface_cells_match_high_precision_values():
         t, r, dphi1 = rows[61 * it + ir]
         assert (t, r) == (axis[it], axis[ir])
         assert dphi1 == pytest.approx(ref, rel=1e-13)
+
+
+# cells (beta2 index, |alpha| index) of the default figure 6 (port 1) and 7
+# (port 3) grids, and sample indices of the default figure 8 panels, whose
+# bytes moved when the zero-phase series came from the exact echo of the
+# splitters instead of the float-pi recombiners
+MOVED_RATIO_CELLS = {
+    1: [(0, 3), (0, 7), (2, 5), (3, 5), (4, 10), (5, 6), (5, 10), (6, 3), (6, 7),
+        (7, 9), (8, 3)],
+    3: [(0, 10), (1, 3), (1, 5), (1, 6), (2, 3), (2, 6), (2, 9), (3, 7), (3, 10),
+        (4, 3), (4, 5), (4, 6), (4, 7), (4, 9), (4, 10), (5, 6), (6, 3), (6, 5),
+        (6, 6), (6, 7), (6, 10), (8, 3), (8, 5), (8, 7), (8, 9), (9, 7), (9, 9)],
+}
+MOVED_FIG8_CELLS = {"b": [3, 6, 9], "c": [3, 4, 6, 8], "d": [6]}
+
+
+def test_moved_figure_cells_match_the_exact_pi_reference():
+    """The moved cells agree with a 60-digit cascade at exact pump phase pi:
+    the ratios of figures 6 and 7 within 2e-15, the dphi1 of figure 8
+    panels b-d within 4e-16."""
+    b2s, alphas = np.linspace(0.5, 5.0, 10), np.linspace(0.0, 10.0, 11)
+    for port, cells in MOVED_RATIO_CELLS.items():
+        ratio = np.reshape([r[2] for r in optimal_ratio_surface(port, b2s, alphas)], (10, 11))
+        free = (1, 2) if port == 1 else (0, 1)
+        for ib, ia in cells:
+            alpha = np.zeros(3)
+            alpha[port - 1] = alphas[ia]
+            ref = mp_reference.optimal_ratio(alpha, b2s[ib], b2s[ib], free)
+            assert abs(ratio[ib, ia] - ref) <= 2e-15 * abs(ref)
+    # panel: port, weights and sweep; gain sweeps hold |alpha| = 5, alpha sweeps beta = 3
+    panels = {"b": (1, (0.0, 1.0, 1.0), "alpha"), "c": (3, (1.0, 1.0, 0.0), "diagonal"),
+              "d": (3, (1.0, 1.0, 0.0), "alpha")}
+    for panel, (port, weights, sweep) in panels.items():
+        samples = np.linspace(0.0, 10.0, 10) if sweep == "alpha" else np.linspace(0.5, 5.0, 10)
+        rows = scaling_curve(sweep, samples, 3.0, weights, port, 5.0)
+        for k in MOVED_FIG8_CELLS[panel]:
+            alpha, beta = np.zeros(3), 3.0 if sweep == "alpha" else samples[k]
+            alpha[port - 1] = samples[k] if sweep == "alpha" else 5.0
+            ref = mp_reference.zero_phase_limit(alpha, beta, beta, weights)
+            assert abs(rows[k][2] - ref) <= 4e-16 * ref
 
 
 def test_weight_surface_valley_is_degenerate():

@@ -6,6 +6,7 @@ probe offset 1e-20, cross-checked against the truncated-Fock simulator at
 small gain.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,8 +18,6 @@ from su12sim.sensitivity import (
     NonConvergentLimitError,
     asymptote_high_gain,
     closed_form_limit,
-    closed_form_offset,
-    closed_form_offset_highgain,
     limit_from_moments,
     mean_derivative,
     n_total,
@@ -191,6 +190,17 @@ def test_limit_rejects_bad_phase_index():
             zero_phase_limit(VAC, 3.0, 3.0, (1, 0, 1), phase_index=j)
 
 
+def test_overflowing_phase_point_is_nan_not_signal_free():
+    """Moments that overflow give nan, as the zero-phase path does; a finite
+    cell of the same stack keeps its value, and a signal-free one stays inf."""
+    cfg = InterferometerConfig.balanced(np.array([3.0, 800.0]), 3.0, phi1=1e-3)
+    dphi = phase_sensitivity(cfg, VAC, (1, 0, 1)).delta_phi
+    one = InterferometerConfig.balanced(3.0, 3.0, phi1=1e-3)
+    assert dphi[0] == phase_sensitivity(one, VAC, (1, 0, 1)).delta_phi
+    assert math.isnan(dphi[1])
+    assert math.isinf(phase_sensitivity(one, VAC, (1, -1, -1)).delta_phi)
+
+
 def test_limit_matches_bright_pair_closed_form():
     # weights (1, 1, 0) single out the combination whose limit has the
     # compact closed form
@@ -203,6 +213,26 @@ def test_vacuum_sensitivity_depends_only_on_invariant():
     a = phase_sensitivity(cfg, VAC, (1.0, -0.3, -0.3)).delta_phi
     b = phase_sensitivity(cfg, VAC, (0.0, 1.0, 1.0)).delta_phi
     assert np.isclose(a, b, rtol=1e-12)
+
+
+# reference closed forms of the bright-pair-sum sensitivity away from zero phase
+def closed_form_offset(beta1, beta2, x):
+    """Sensitivity of the bright-pair-sum detector at recombiner offset x.
+
+    Valid for vacuum input with weights (1, 1, 0) when the recombiner
+    pump phases track the internal phase so that the result depends only
+    on the combination x = phi1 + theta4 (with theta3 = pi - phi1).
+    """
+    num = np.sinh(beta1) * np.abs(np.cos(x / 2.0))
+    den = np.cosh(beta2 / 2.0) ** 2 * np.sinh(beta1) ** 2 * np.abs(np.sin(x))
+    root = np.sqrt(2.0 * np.sinh(beta1) ** 2 * np.cos(x) + np.cosh(2.0 * beta1) + 3.0)
+    return num / den * root
+
+
+def closed_form_offset_highgain(beta2, x):
+    """High-gain (large beta1) simplification of closed_form_offset."""
+    return (np.sqrt(2.0 * np.cos(x) + 2.0) * np.abs(np.cos(x / 2.0))
+            / (np.cosh(beta2 / 2.0) ** 2 * np.abs(np.sin(x))))
 
 
 def test_offset_closed_form_tracks_direct_evaluation():
@@ -345,8 +375,31 @@ def test_n_total_matches_closed_form():
             )
 
 
-def test_n_total_accepts_config_and_state():
-    cfg = InterferometerConfig.balanced(2.0, 2.0)
-    base = n_total(cfg)
-    boosted = n_total(cfg, InputState.coherent(3, 2.0))
+def test_n_total_counts_the_input_state():
+    base = n_total((2.0, 2.0))
+    boosted = n_total((2.0, 2.0), InputState.coherent(3, 2.0))
     assert boosted > base
+
+
+# sha256 of zero_phase_limit's (status, orders) on QUERY_POINTS seeded points
+# x phases 1-3, drawn as the perfbench queries workload draws its stream;
+# recorded while the zero-phase series came from the four float-pi mixers
+QUERY_POINTS = 1000
+QUERY_STATUS_SHA256 = "83b2755e1ac70555d7dac63c7c821d881d1911bb9ae1c5f2e922d2a62ac5c5a6"
+
+
+def test_zero_phase_status_and_orders_are_pinned_on_a_query_draw():
+    rng = np.random.default_rng(1)
+    ports = rng.integers(0, 4, size=QUERY_POINTS)
+    amps = 10.0 ** rng.uniform(-2.0, 1.0, size=QUERY_POINTS)  # |alpha| log-uniform
+    betas = rng.uniform(0.1, 6.0, size=(QUERY_POINTS, 2))
+    choice = rng.integers(0, 4, size=QUERY_POINTS)
+    weights = ((1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.5))
+    digest = hashlib.sha256()
+    for port, amp, (b1, b2), k in zip(ports.tolist(), amps.tolist(), betas.tolist(),
+                                      choice.tolist()):
+        state = VAC if port == 0 else InputState.coherent(port, amp)
+        for phase_index in (1, 2, 3):
+            res = zero_phase_limit(state, b1, b2, weights[k], phase_index)
+            digest.update(repr((res.status, res.orders)).encode())
+    assert digest.hexdigest() == QUERY_STATUS_SHA256
