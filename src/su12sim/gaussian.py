@@ -15,12 +15,13 @@ gives every photocount moment:
     Var(n_i) = v_i (v_i + 1) + p_i (2 v_i + 1)
 
 photocounts takes the product as an argument: elementwise at a point, the
-truncated series product for sensitivity.zero_phase_moments, which passes
-the series of m, s and v of the balanced cascade's echo form
-S(eps) = I + f l r^T (f = exp(rate eps) - 1) straight to it.
+truncated series product for the echo series of sensitivity.zero_phase_moments.
+It forms p, u and q with one product, of (m^*, m^*, s^*) and (m, s, s) side
+by side, so a series takes four products in all.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,11 +57,12 @@ class InputState:
     def alpha_vector(self):
         return np.array(self.alpha, dtype=complex)
 
-    @property
+    @cached_property
     def slot_vector(self):
-        """Slot amplitudes alpha~ = (alpha1, alpha2^*, alpha3^*)."""
+        """Slot amplitudes alpha~ = (alpha1, alpha2^*, alpha3^*), built once, read-only."""
         a = self.alpha_vector
         a[1:] = np.conj(a[1:])
+        a.flags.writeable = False
         return a
 
 
@@ -101,9 +103,8 @@ def photocounts(m, s, v, mul=np.multiply):
     """Photocount means (..., 3) and covariance (..., 3, 3) from m, s and v of
     OutputMoments, or their series when mul is the product of power series
     (mul multiplies elementwise in the trailing axes)."""
-    q = np.real(mul(np.conj(s), s))
-    p = np.real(mul(np.conj(m), m))
-    u = mul(np.conj(m), s)
+    pairs = mul(np.conj(np.concatenate((m, m, s), axis=-1)), np.concatenate((m, s, s), axis=-1))
+    p, u, q = np.real(pairs[..., :3]), pairs[..., 3:6], np.real(pairs[..., 6:])
     mean = v + p
     cov = mul(q[..., :, None], q[..., None, :])
     cov += 2.0 * np.real(mul(u[..., :, None], np.conj(u[..., None, :])))

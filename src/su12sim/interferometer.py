@@ -57,14 +57,16 @@ def fwm_matrix(beta, theta, pair="12"):
 
 def splitter_matrix(beta1, beta2):
     """Real transform R = S2 S1 of the two splitter mixers at zero pump phase,
-    (..., 3, 3) over the broadcast gains.  With ci = cosh(betai / 2) and
-    si = sinh(betai / 2), R = [[c1 c2, s1 c2, s2], [s1, c1, 0], [s2 c1, s2 s1, c2]].
+    (..., 3, 3) over the broadcast gains, filled slot by slot.  With ci = cosh(betai / 2)
+    and si = sinh(betai / 2), R = [[c1 c2, s1 c2, s2], [s1, c1, 0], [s2 c1, s2 s1, c2]].
     """
-    c1, s1, c2, s2 = np.broadcast_arrays(np.cosh(beta1 / 2.0), np.sinh(beta1 / 2.0),
-                                         np.cosh(beta2 / 2.0), np.sinh(beta2 / 2.0))
-    m = np.array([[c1 * c2, s1 * c2, s2], [s1, c1, np.zeros_like(c1)],
-                  [s2 * c1, s2 * s1, c2]])
-    return m.transpose((*range(2, m.ndim), 0, 1))
+    c1, s1 = np.cosh(beta1 / 2.0), np.sinh(beta1 / 2.0)
+    c2, s2 = np.cosh(beta2 / 2.0), np.sinh(beta2 / 2.0)
+    R = np.zeros((*np.broadcast(c1, c2).shape, 3, 3))
+    R[..., 0, 0], R[..., 0, 1], R[..., 0, 2] = c1 * c2, s1 * c2, s2
+    R[..., 1, 0], R[..., 1, 1] = s1, c1
+    R[..., 2, 0], R[..., 2, 1], R[..., 2, 2] = s2 * c1, s2 * s1, c2
+    return R
 
 
 def phase_matrix(phi1, phi2, phi3):
@@ -111,19 +113,8 @@ class InterferometerConfig:
     @classmethod
     def balanced(cls, beta1, beta2, phi1=0.0, phi2=0.0, phi3=0.0):
         """Self-cancelling cascade: identity transform when all phases vanish."""
-        return cls(
-            beta1=beta1,
-            beta2=beta2,
-            beta3=beta2,
-            beta4=beta1,
-            theta1=0.0,
-            theta2=0.0,
-            theta3=np.pi,
-            theta4=np.pi,
-            phi1=phi1,
-            phi2=phi2,
-            phi3=phi3,
-        )
+        return cls(beta1=beta1, beta2=beta2, beta3=beta2, beta4=beta1, theta1=0.0,
+                   theta2=0.0, theta3=np.pi, theta4=np.pi, phi1=phi1, phi2=phi2, phi3=phi3)
 
     def with_phases(self, phi1, phi2, phi3):
         return replace(self, phi1=phi1, phi2=phi2, phi3=phi3)

@@ -195,6 +195,16 @@ def _cauchy(x, y):
     return np.einsum("abk,a...,b...->k...", _CAUCHY, x, y)
 
 
+def _offset_series(rate):
+    """Series (SERIES_ORDER + 1, 2) of f = exp(rate eps) - 1 and its moduli, and of |f|^2."""
+    c = np.append(0.0, np.cumprod(rate / _ORDERS[1:]))  # the eps^k coefficients of f
+    f = np.stack([c, np.abs(c)], axis=-1)
+    return f, np.real(_cauchy(np.conj(f), f))
+
+
+_OFFSET_SERIES = {rate: _offset_series(rate) for rate in (1j, -1j)}
+
+
 def zero_phase_moments(state, beta1, beta2, phase_index=1):
     """Weight-free series of photocount covariance and slope in the probe offset.
 
@@ -215,6 +225,7 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
     gains or amplitudes) is nan.
     """
     j, rate = _probe(phase_index)
+    f, ff = _OFFSET_SERIES[rate]
     with np.errstate(over="ignore", invalid="ignore"):
         r = splitter_matrix(beta1, beta2)[..., j, :]
         ell = (_G if j == 0 else -_G) * r
@@ -222,19 +233,17 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
         r, ell = np.array([r, np.abs(r)]), np.array([ell, np.abs(ell)])
         a = state.slot_vector
         a = np.array([a, np.abs(a)]).reshape(2, *(1,) * (r.ndim - 2), 3)
-        # f[k, x] is the eps^k coefficient of f, of its moduli for x = 1
-        f = np.zeros((SERIES_ORDER + 1, 2, *(1,) * (r.ndim - 1)), dtype=complex)
-        f[1:, 0] = np.cumprod(rate / _ORDERS[1:]).reshape(-1, *f.shape[2:])
-        f[1:, 1] = np.abs(f[1:, 0])
+        f = f.reshape(*f.shape, *(1,) * (r.ndim - 1))
         ell_r0 = ell * r[..., :1]
-        m = f * (np.sum(r * a, axis=-1, keepdims=True) * ell)
+        m = f * ((r * a).sum(axis=-1, keepdims=True) * ell)
         m[0] = a
         s = f * ell_r0
         s[0, ..., 0] = 1.0
         w = ell_r0 ** 2
-        w[..., 0] = np.sum((ell[..., :1] * r[..., 1:]) ** 2, axis=-1)
-        mean, cov = photocounts(m, s, np.real(_cauchy(np.conj(f), f)) * w, _cauchy)
-    cov, mean = np.moveaxis(cov, 0, -3), np.moveaxis(mean, 0, -2)
+        w[..., 0] = ((ell[..., :1] * r[..., 1:]) ** 2).sum(axis=-1)
+        mean, cov = photocounts(m, s, ff.reshape(f.shape) * w, _cauchy)
+    cov = cov.transpose(1, *range(2, cov.ndim - 2), 0, -2, -1)  # series axis after x, gains
+    mean = mean.transpose(1, *range(2, mean.ndim - 1), 0, -1)
     overflow = ~np.isfinite(cov).all(axis=(0, -3, -2, -1))
     cov[:, overflow] = mean[:, overflow] = math.nan
     return cov, _ORDERS[1:, None] * mean[..., 1:, :]
@@ -280,10 +289,12 @@ def zero_phase_limit(state, beta1, beta2, weights, phase_index=1):
     Status "ok" with sqrt(V_p) / |D_q| when the leading orders satisfy
     p = 2q; "divergent" with delta_phi = inf when p < 2q or the slope
     series vanishes.  Anything else raises NonConvergentLimitError, and so
-    do moments that are not finite.
+    do moments that are not finite.  One point only: stacks raise ValueError.
     """
-    dphi, p, q = require_convergent(*limit_from_moments(
-        zero_phase_moments(state, beta1, beta2, phase_index), weights))
+    dphi, p, q = limit_from_moments(zero_phase_moments(state, beta1, beta2, phase_index), weights)
+    if dphi.ndim:
+        raise ValueError("zero_phase_limit takes one point; limit_from_moments takes stacks")
+    dphi, p, q = require_convergent(dphi, p, q)
     if math.isnan(dphi):
         raise NonConvergentLimitError(
             f"photocount moments are not finite at beta = ({beta1}, {beta2}) "
@@ -297,9 +308,9 @@ def require_convergent(dphi, p, q):
     """limit_from_moments output, or NonConvergentLimitError naming the orders
     of its first cell with no finite nonzero limit (one with a slope and p > 2q).
     Cells whose moments are not finite have no slope series and stay nan."""
-    bad = np.flatnonzero(np.isnan(dphi) & (q < SERIES_ORDER))
-    if bad.size:
-        p0, q0 = int(np.ravel(p)[bad[0]]), int(np.ravel(q)[bad[0]])
+    bad = np.isnan(dphi) & (q < SERIES_ORDER)
+    if bad.any():  # argmax: the flat index of the first bad cell
+        p0, q0 = int(np.ravel(p)[bad.argmax()]), int(np.ravel(q)[bad.argmax()])
         raise NonConvergentLimitError(
             f"variance and slope series with leading orders "
             f"{(None if p0 > SERIES_ORDER else p0, q0)} have no finite nonzero limit")
@@ -312,14 +323,10 @@ def require_convergent(dphi, p, q):
 
 def closed_form_limit(beta1, beta2):
     """Zero-offset limit of the bright-pair-sum sensitivity (vacuum input)."""
-    num = 2.0 * np.sqrt(
-        4.0 * np.cosh(beta2 / 2.0) ** 4 * np.sinh(beta1) ** 2
-        + np.cosh(beta1 / 2.0) ** 2 * np.sinh(beta2) ** 2
-    )
-    den = (
-        4.0 * np.cosh(beta2 / 2.0) ** 2 * np.sinh(beta1) ** 2
-        + np.sinh(beta2) ** 2 * np.cosh(beta1) * (1.0 + np.cosh(beta1))
-    )
+    num = 2.0 * np.sqrt(4.0 * np.cosh(beta2 / 2.0) ** 4 * np.sinh(beta1) ** 2
+                        + np.cosh(beta1 / 2.0) ** 2 * np.sinh(beta2) ** 2)
+    den = (4.0 * np.cosh(beta2 / 2.0) ** 2 * np.sinh(beta1) ** 2
+           + np.sinh(beta2) ** 2 * np.cosh(beta1) * (1.0 + np.cosh(beta1)))
     return num / den
 
 
@@ -339,16 +346,17 @@ def n_total(betas, state=None):
     This is the resource count against which sensitivity scalings are
     judged: every photon present after the two splitter FWMs traverses
     the phase stage.  Takes a (beta1, beta2) pair and an input state,
-    defaulting to vacuum, and propagates the state through the splitter
-    matrix R.  A float for one configuration; gain arrays give an array
-    of their broadcast shape.  nan where the photon number overflows.
+    defaulting to vacuum; N = sum_i (v_i + |m_i|^2) with m = R alpha~ and
+    v_1 = R_12^2 + R_13^2, v_i = R_i1^2 from the splitter matrix R.  A float
+    for one configuration, an array over gain arrays; nan where it overflows.
     """
     beta1, beta2 = betas
-    if state is None:
-        state = InputState.vacuum()
+    state = InputState.vacuum() if state is None else state
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = propagate(splitter_matrix(beta1, beta2), state)
-        n = np.sum(moments.v + np.abs(moments.m) ** 2, axis=-1)
+        R = splitter_matrix(beta1, beta2)
+        v = R[..., :, 0] ** 2
+        v[..., 0] = R[..., 0, 1] ** 2 + R[..., 0, 2] ** 2
+        n = np.sum(v + np.abs(R @ state.slot_vector) ** 2, axis=-1)
     return _unstack(np.where(np.isfinite(n), n, math.nan))
 
 

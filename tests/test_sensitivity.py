@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from su12sim import sensitivity
 from su12sim.gaussian import InputState, photon_statistics, propagate
 from su12sim.interferometer import InterferometerConfig
 from su12sim.sensitivity import (
@@ -188,6 +189,32 @@ def test_limit_rejects_bad_phase_index():
     for j in (0, 4):
         with pytest.raises(ValueError):
             zero_phase_limit(VAC, 3.0, 3.0, (1, 0, 1), phase_index=j)
+
+
+def test_limit_takes_one_point():
+    """Gain arrays and weight stacks belong to limit_from_moments; the
+    one-point function says so instead of failing a scalar conversion."""
+    with pytest.raises(ValueError, match="one point.*limit_from_moments"):
+        zero_phase_limit(VAC, np.array([1.0, 2.0]), 3.0, (1, 0, 1))
+    with pytest.raises(ValueError, match="one point.*limit_from_moments"):
+        zero_phase_limit(VAC, 1.0, 3.0, np.eye(3))
+
+
+def test_query_takes_one_splitter_matrix_per_call(monkeypatch):
+    """A zero-phase limit builds R once and evaluates the photocount closed
+    form once; n_total builds R once and propagates nothing."""
+    calls = []
+    for name in ("photocounts", "splitter_matrix", "propagate"):
+        def counting(*args, _name=name, _fn=getattr(sensitivity, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sensitivity, name, counting)
+    state = InputState.coherent(3, 1.5)
+    zero_phase_limit(state, 2.0, 3.0, (1.0, 0.0, 1.0), phase_index=2)
+    assert sorted(calls) == ["photocounts", "splitter_matrix"]
+    calls.clear()
+    n_total((2.0, 3.0), state)
+    assert calls == ["splitter_matrix"]
 
 
 def test_overflowing_phase_point_is_nan_not_signal_free():
@@ -381,6 +408,20 @@ def test_n_total_counts_the_input_state():
     assert boosted > base
 
 
+def _query_draw(points):
+    """(state, beta1, beta2, weights) of points seeded queries, drawn as the
+    perfbench queries workload draws its stream."""
+    rng = np.random.default_rng(1)
+    ports = rng.integers(0, 4, size=points)
+    amps = 10.0 ** rng.uniform(-2.0, 1.0, size=points)  # |alpha| log-uniform
+    betas = rng.uniform(0.1, 6.0, size=(points, 2))
+    choice = rng.integers(0, 4, size=points)
+    weights = ((1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.5))
+    return [(VAC if port == 0 else InputState.coherent(port, amp), b1, b2, weights[k])
+            for port, amp, (b1, b2), k in zip(ports.tolist(), amps.tolist(),
+                                              betas.tolist(), choice.tolist())]
+
+
 # sha256 of zero_phase_limit's (status, orders) on QUERY_POINTS seeded points
 # x phases 1-3, drawn as the perfbench queries workload draws its stream;
 # recorded while the zero-phase series came from the four float-pi mixers
@@ -389,17 +430,38 @@ QUERY_STATUS_SHA256 = "83b2755e1ac70555d7dac63c7c821d881d1911bb9ae1c5f2e922d2a62
 
 
 def test_zero_phase_status_and_orders_are_pinned_on_a_query_draw():
-    rng = np.random.default_rng(1)
-    ports = rng.integers(0, 4, size=QUERY_POINTS)
-    amps = 10.0 ** rng.uniform(-2.0, 1.0, size=QUERY_POINTS)  # |alpha| log-uniform
-    betas = rng.uniform(0.1, 6.0, size=(QUERY_POINTS, 2))
-    choice = rng.integers(0, 4, size=QUERY_POINTS)
-    weights = ((1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.5))
     digest = hashlib.sha256()
-    for port, amp, (b1, b2), k in zip(ports.tolist(), amps.tolist(), betas.tolist(),
-                                      choice.tolist()):
-        state = VAC if port == 0 else InputState.coherent(port, amp)
+    for state, b1, b2, weights in _query_draw(QUERY_POINTS):
         for phase_index in (1, 2, 3):
-            res = zero_phase_limit(state, b1, b2, weights[k], phase_index)
+            res = zero_phase_limit(state, b1, b2, weights, phase_index)
             digest.update(repr((res.status, res.orders)).encode())
     assert digest.hexdigest() == QUERY_STATUS_SHA256
+
+
+# sha256 of the raw bytes of zero_phase_moments (cov, slope) on QUERY_BYTE_POINTS
+# seeded points drawn the same way x phases 1-3, of n_total on them, and of
+# both on a 4 x 5 gain stack with a zero-gain row and an overflowing column;
+# recorded while the splitter matrix was built with np.array
+QUERY_BYTE_POINTS = 300
+QUERY_BYTES_SHA256 = "fe57b0e112f77f35347d9817fea525ae7e8d43829b3647e553f2b0f45dfa056e"
+
+
+def test_zero_phase_moment_bytes_are_pinned_on_a_query_draw():
+    digest = hashlib.sha256()
+
+    def update(x):
+        digest.update(repr(np.shape(x)).encode())
+        digest.update(np.ascontiguousarray(x, dtype=float).tobytes())
+
+    for state, b1, b2, _ in _query_draw(QUERY_BYTE_POINTS):
+        for phase_index in (1, 2, 3):
+            for x in zero_phase_moments(state, b1, b2, phase_index):
+                update(x)
+        update(n_total((b1, b2), state))
+    b1, b2 = np.meshgrid([0.0, 0.4, 3.0, 5.5], [0.1, 1.7, 3.0, 4.6, 800.0], indexing="ij")
+    state = InputState.coherent(3, 2.0 + 1.0j)
+    for phase_index in (1, 2, 3):
+        for x in zero_phase_moments(state, b1, b2, phase_index):
+            update(x)
+    update(n_total((b1, b2), state))
+    assert digest.hexdigest() == QUERY_BYTES_SHA256
