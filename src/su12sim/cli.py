@@ -7,12 +7,17 @@ Subcommands
     figure N      data table behind figure N (3..8) as fig<N>.csv
     oracle-check  truncated-Fock vs Gaussian agreement suite
 
+One table maps each subcommand to its defaults and its handler.
 Parameters resolve in three layers: built-in defaults, then a flat
 key = value config file (--config, '#' comments), then repeated
---set key=value overrides.  Unknown keys are rejected.  Every run
-writes summary.txt (flat key = value) next to any CSV output.  CSV
-numbers carry 17 significant digits with ',' delimiters and LF line
-endings; a timestamp comment is emitted unless --no-timestamp is given.
+--set key=value overrides.  Unknown keys are rejected.  A handler prints
+its result lines, writes any CSV and returns its exit code and summary
+entries; main alone writes summary.txt (flat key = value: the command,
+every parameter, then those entries).  CSV numbers carry 17 significant
+digits with ',' delimiters and LF line endings; a timestamp comment is
+emitted unless --no-timestamp is given.  Figures 5 and 8 fit log-log
+slopes of dphi against n_total; a slope reads nan unless its finite
+positive points hold at least two distinct n_total values.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error,
 3 engine guard (truncation leakage, non-convergent or fully divergent
@@ -116,13 +121,8 @@ def _resolve_params(defaults, config_path, sets):
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-    return str(x)
+    # floats keep 17 significant digits; nan and +-inf format as such
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _write_csv(outdir, name, command, params, header, rows, timestamp):
@@ -140,30 +140,37 @@ def _write_csv(outdir, name, command, params, header, rows, timestamp):
     return path
 
 
-def _write_summary(outdir, entries):
-    path = os.path.join(outdir, "summary.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for k, v in entries.items():
-            fh.write(f"{k} = {_fmt(v)}\n")
-    return path
-
-
 def _state_from(params):
-    port = params.get("port", 0)
-    if port == 0:
+    if params["port"] == 0:
         return InputState.vacuum()
-    return InputState.coherent(port, params.get("alpha_abs", 0.0))
+    return InputState.coherent(params["port"], params["alpha_abs"])
+
+
+def _print_lines(entries, width):
+    for k, v in entries.items():
+        print(f"{k:<{width}} = {_fmt(v)}")
+
+
+def _report(checks):
+    """Print a PASS or FAIL line per (label, ok) check; return how many failed."""
+    failed = 0
+    for label, ok in checks:
+        print(("PASS " if ok else "FAIL ") + label)
+        failed += not ok
+    return failed
 
 
 # ---------------------------------------------------------------------------
-# lie-verify
+# Subcommand handlers.  Each takes the resolved parameters and the parsed
+# command line and returns (exit code, summary entries); main writes
+# summary.txt from the entries, after the command name and the parameters.
 # ---------------------------------------------------------------------------
 
 _LIE_DEFAULTS = {"trials": 10000, "seed": 7, "tol": 1e-9}
 _LIE_STACK = 500
 
 
-def cmd_lie_verify(params, outdir, timestamp):
+def cmd_lie_verify(params, args):
     checks = []
 
     rng = np.random.default_rng(params["seed"])
@@ -196,21 +203,11 @@ def cmd_lie_verify(params, outdir, timestamp):
     checks.append((f"closed-form exponentials vs expm (worst {worst:.1e})",
                    worst <= 1e-12))
 
-    n_fail = 0
-    for label, ok in checks:
-        print(("PASS " if ok else "FAIL ") + label)
-        n_fail += 0 if ok else 1
-    status = "PASS" if n_fail == 0 else "FAIL"
-    print(f"lie-verify: {status} ({len(checks)} checks, {n_fail} failed)")
-    summary = {"command": "lie-verify", **params,
-               "checks": len(checks), "failed": n_fail, "status": status}
-    _write_summary(outdir, summary)
-    return 0 if n_fail == 0 else 1
+    failed = _report(checks)
+    status = "FAIL" if failed else "PASS"
+    print(f"lie-verify: {status} ({len(checks)} checks, {failed} failed)")
+    return int(failed > 0), {"checks": len(checks), "failed": failed, "status": status}
 
-
-# ---------------------------------------------------------------------------
-# sensitivity
-# ---------------------------------------------------------------------------
 
 _SENS_DEFAULTS = {
     "beta1": 3.0, "beta2": 3.0,
@@ -219,39 +216,27 @@ _SENS_DEFAULTS = {
 }
 
 
-def cmd_sensitivity(params, outdir, timestamp):
+def cmd_sensitivity(params, args):
     w = (params["w1"], params["w2"], params["w3"])
     if all(x == 0.0 for x in w):
         raise UsageError("weights must not all be zero")
     state = _state_from(params)
     b1, b2 = params["beta1"], params["beta2"]
     res = zero_phase_limit(state, b1, b2, w, phase_index=params["phase_index"])
-    status = "DIVERGENT" if res.is_divergent else "OK"
-    ntot = n_total((b1, b2), state)
-
-    print(f"status        = {status}")
-    print(f"delta_phi     = {_fmt(res.delta_phi)}")
-    print(f"orders        = {_fmt(res.orders)}")
-    print(f"n_total       = {_fmt(ntot)}")
-    summary = {"command": "sensitivity", **params,
-               "status": status, "delta_phi": res.delta_phi,
-               "orders": res.orders, "n_total": ntot}
+    summary = {"status": "DIVERGENT" if res.is_divergent else "OK",
+               "delta_phi": res.delta_phi, "orders": res.orders,
+               "n_total": n_total((b1, b2), state)}
+    _print_lines(summary, 13)
     if params["port"] == 0:
         # closed-form reference points for the vacuum balanced cascade
-        summary["bright_pair_closed_form"] = float(closed_form_limit(b1, b2))
-        summary["high_gain_asymptote"] = float(asymptote_high_gain(b1, b2))
-        print(f"bright_pair_closed_form = {_fmt(summary['bright_pair_closed_form'])}")
-        print(f"high_gain_asymptote     = {_fmt(summary['high_gain_asymptote'])}")
+        closed = {"bright_pair_closed_form": float(closed_form_limit(b1, b2)),
+                  "high_gain_asymptote": float(asymptote_high_gain(b1, b2))}
         if b1 == b2 and b1 > 0:
-            summary["two_mode_benchmark"] = float(su11_benchmark(b1))
-            print(f"two_mode_benchmark      = {_fmt(summary['two_mode_benchmark'])}")
-    _write_summary(outdir, summary)
-    return 0
+            closed["two_mode_benchmark"] = float(su11_benchmark(b1))
+        _print_lines(closed, 23)
+        summary.update(closed)
+    return 0, summary
 
-
-# ---------------------------------------------------------------------------
-# optimize
-# ---------------------------------------------------------------------------
 
 _OPT_DEFAULTS = {
     "beta1": 3.0, "beta2": 3.0,
@@ -260,31 +245,21 @@ _OPT_DEFAULTS = {
 }
 
 
-def cmd_optimize(params, outdir, timestamp):
+def cmd_optimize(params, args):
     state = _state_from(params)
     res = optimize_weights(state, params["beta1"], params["beta2"],
                            params["phase_index"],
                            fixed_zero=params["fixed_zero"] or None)
-    summary = {"command": "optimize", **params}
+    head = {"point": ", ".join(_fmt(c) for c in res.point.tolist()),
+            "value": res.value}
     # with one free weight there is no ratio, so no point line
-    if res.point.size:
-        summary["point"] = ", ".join(_fmt(c) for c in res.point.tolist())
-        print(f"point        = {summary['point']}")
-    w1, w2, w3 = res.weights.tolist()
-    print(f"value        = {_fmt(res.value)}")
-    print(f"weights      = {_fmt(w1)}, {_fmt(w2)}, {_fmt(w3)}")
-    print(f"evaluations  = {res.evaluations}")
-    print(f"limit_status = {res.limit.status}")
-    summary.update({"value": res.value, "w1": w1, "w2": w2, "w3": w3,
-                    "evaluations": res.evaluations,
-                    "limit_status": res.limit.status})
-    _write_summary(outdir, summary)
-    return 0
+    if not res.point.size:
+        del head["point"]
+    tail = {"evaluations": res.evaluations, "limit_status": res.limit.status}
+    weights = res.weights.tolist()
+    _print_lines({**head, "weights": ", ".join(_fmt(c) for c in weights), **tail}, 12)
+    return 0, {**head, **dict(zip(("w1", "w2", "w3"), weights)), **tail}
 
-
-# ---------------------------------------------------------------------------
-# figure
-# ---------------------------------------------------------------------------
 
 _FIG_DEFAULTS = {
     3: {"beta1": 3.0, "beta2": 3.0, "phi1": 1e-3,
@@ -311,17 +286,19 @@ _FIG8_PANELS = {
 }
 
 
-def _loglog_slope(xs, ys):
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+def _loglog_slope(rows, column):
+    """Fitted slope of log rows[:, column] against log n_total (column 1)
+    over the finite positive points; nan unless they hold two n_total values."""
+    xs, ys = np.array(rows, dtype=float)[:, [1, column]].T
     keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
-    if keep.sum() < 2:
+    if len(set(xs[keep].tolist())) < 2:
         return math.nan
     return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 
 
-def cmd_figure(n, params, outdir, timestamp):
-    command = f"figure {n}"
-    summary = {"command": command, **params}
+def cmd_figure(params, args):
+    n = args.n
+    summary = {}
 
     if n == 3:
         if params["beta1"] == 0.0 and params["beta2"] == 0.0:
@@ -357,10 +334,8 @@ def cmd_figure(n, params, outdir, timestamp):
             phase_indices=(1, 3),
         )
         header = ("beta", "n_total", "dphi1", "dphi3", "heisenberg")
-        summary["slope_dphi1"] = _loglog_slope([r[1] for r in rows],
-                                               [r[2] for r in rows])
-        summary["slope_dphi3"] = _loglog_slope([r[1] for r in rows],
-                                               [r[3] for r in rows])
+        summary.update(slope_dphi1=_loglog_slope(rows, 2),
+                       slope_dphi3=_loglog_slope(rows, 3))
     elif n in (6, 7):
         port = 1 if n == 6 else 3
         b2s = np.linspace(params["beta2_lo"], params["beta2_hi"],
@@ -378,35 +353,22 @@ def cmd_figure(n, params, outdir, timestamp):
         corner = [r for r in rows if r[0] == b2s[-1] and r[1] == als[0]]
         if corner:
             summary["corner_ratio"] = corner[0][2]
-    elif n == 8:
+    else:
         port, w, sweep, fixed, lo_d, hi_d = _FIG8_PANELS[params["panel"]]
         lo = params["lo"] if not math.isnan(params["lo"]) else lo_d
         hi = params["hi"] if not math.isnan(params["hi"]) else hi_d
-        samples = np.linspace(lo, hi, params["points"])
-        if sweep == "diagonal":
-            rows = scaling_curve(sweep, samples, weights=w, port=port,
-                                 amplitude=fixed)
-        else:
-            rows = scaling_curve(sweep, samples, partner=fixed, weights=w,
-                                 port=port)
+        # a diagonal sweep reads the fixed value as |alpha|, an alpha sweep
+        # as both gains; each ignores the other keyword
+        rows = scaling_curve(sweep, np.linspace(lo, hi, params["points"]),
+                             partner=fixed, weights=w, port=port, amplitude=fixed)
         header = ("sweep_param", "n_total", "dphi1", "heisenberg")
-        summary["slope_dphi1"] = _loglog_slope([r[1] for r in rows],
-                                               [r[2] for r in rows])
-    else:
-        raise UsageError(f"unknown figure {n}")
+        summary["slope_dphi1"] = _loglog_slope(rows, 2)
 
-    path = _write_csv(outdir, f"fig{n}.csv", command, params, header, rows,
-                      timestamp)
-    summary["rows"] = len(rows)
-    summary["csv"] = os.path.basename(path)
-    _write_summary(outdir, summary)
+    path = _write_csv(args.out, f"fig{n}.csv", f"figure {n}", params, header,
+                      rows, not args.no_timestamp)
     print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    return 0, {**summary, "rows": len(rows), "csv": os.path.basename(path)}
 
-
-# ---------------------------------------------------------------------------
-# oracle-check
-# ---------------------------------------------------------------------------
 
 _ORACLE_DEFAULTS = {
     "trials": 50, "cutoff": 14, "beta_max": 0.5, "alpha_max": 0.7,
@@ -414,39 +376,42 @@ _ORACLE_DEFAULTS = {
 }
 
 
-def cmd_oracle_check(params, outdir, timestamp):
+def cmd_oracle_check(params, args):
     worst = compare_with_gaussian(
         trials=params["trials"], cutoff=params["cutoff"],
         beta_max=params["beta_max"], alpha_max=params["alpha_max"],
         seed=params["seed"], guard=params["guard"],
     )
-    tol = params["tol"]
-    failed = []
-    for key in ("mean", "cov", "var", "deriv"):
-        ok = worst[key] < tol
-        print(f"{'PASS' if ok else 'FAIL'} max |{key}| deviation = {worst[key]:.3e}")
-        if not ok:
-            failed.append(key)
-    print(f"worst leakage = {worst['leakage']:.3e}")
+    devs = {k: worst[k] for k in ("mean", "cov", "var", "deriv")}
     kvars = {i: vacuum_k_variance(i, params["cutoff"]) for i in (1, 2, 3, 4)}
-    for i, v in kvars.items():
-        ok = abs(v - 0.25) <= 1e-9
-        print(f"{'PASS' if ok else 'FAIL'} vacuum K{i} variance = {_fmt(v)}")
-        if not ok:
-            failed.append(f"k{i}_var")
-    status = "PASS" if not failed else "FAIL"
+    failed = _report((f"max |{k}| deviation = {d:.3e}", d < params["tol"])
+                     for k, d in devs.items())
+    print(f"worst leakage = {worst['leakage']:.3e}")
+    failed += _report((f"vacuum K{i} variance = {_fmt(v)}", abs(v - 0.25) <= 1e-9)
+                      for i, v in kvars.items())
+    status = "FAIL" if failed else "PASS"
     print(f"oracle-check: {status}")
-    summary = {"command": "oracle-check", **params, "status": status,
-               **{f"dev_{k}": worst[k] for k in ("mean", "cov", "var", "deriv")},
-               "leakage": worst["leakage"],
-               **{f"k{i}_var": kvars[i] for i in kvars}}
-    _write_summary(outdir, summary)
-    return 0 if not failed else 1
+    return int(failed > 0), {"status": status,
+                             **{f"dev_{k}": d for k, d in devs.items()},
+                             "leakage": worst["leakage"],
+                             **{f"k{i}_var": v for i, v in kvars.items()}}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# subcommand: (defaults, handler); figure's defaults are keyed by N.  The
+# table holds only this module's handlers, which look the library functions
+# up at call time.
+_COMMANDS = {
+    "lie-verify": (_LIE_DEFAULTS, cmd_lie_verify),
+    "sensitivity": (_SENS_DEFAULTS, cmd_sensitivity),
+    "optimize": (_OPT_DEFAULTS, cmd_optimize),
+    "figure": (_FIG_DEFAULTS, cmd_figure),
+    "oracle-check": (_ORACLE_DEFAULTS, cmd_oracle_check),
+}
+
 
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -455,7 +420,7 @@ def _build_parser():
                     "and verification checks.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("lie-verify", "sensitivity", "optimize", "figure", "oracle-check"):
+    for name in _COMMANDS:
         q = sub.add_parser(name)
         if name == "figure":
             q.add_argument("n", type=int, choices=range(3, 9),
@@ -470,31 +435,26 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    defaults, handler = _COMMANDS[args.command]
+    command = args.command
+    if command == "figure":
+        defaults, command = defaults[args.n], f"figure {args.n}"
     try:
         os.makedirs(args.out, exist_ok=True)
-        timestamp = not args.no_timestamp
-        if args.command == "lie-verify":
-            params = _resolve_params(_LIE_DEFAULTS, args.config, args.set)
-            return cmd_lie_verify(params, args.out, timestamp)
-        if args.command == "sensitivity":
-            params = _resolve_params(_SENS_DEFAULTS, args.config, args.set)
-            return cmd_sensitivity(params, args.out, timestamp)
-        if args.command == "optimize":
-            params = _resolve_params(_OPT_DEFAULTS, args.config, args.set)
-            return cmd_optimize(params, args.out, timestamp)
-        if args.command == "figure":
-            params = _resolve_params(_FIG_DEFAULTS[args.n], args.config, args.set)
-            return cmd_figure(args.n, params, args.out, timestamp)
-        if args.command == "oracle-check":
-            params = _resolve_params(_ORACLE_DEFAULTS, args.config, args.set)
-            return cmd_oracle_check(params, args.out, timestamp)
-        raise UsageError(f"unknown command {args.command!r}")
+        params = _resolve_params(defaults, args.config, args.set)
+        rc, results = handler(params, args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (LeakageExceeded, NonConvergentLimitError, AllDivergentError) as e:
         print(f"guard: {e}", file=sys.stderr)
         return 3
+    # the one summary.txt writer: the command, every parameter, the results
+    with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        for k, v in {"command": command, **params, **results}.items():
+            fh.write(f"{k} = {_fmt(v)}\n")
+    return rc
 
 
 if __name__ == "__main__":

@@ -205,9 +205,9 @@ def optimal_ratio_surface(port, beta2_values, alpha_values, beta1=None):
     # one solve per |alpha| over the beta2 axis; the pinned port is the lit one
     ratio = np.full((b2.size, alphas.size), math.nan)
     for k, a in enumerate(alphas):
-        state = InputState.coherent(port, a) if a != 0.0 else InputState.vacuum()
         try:
-            ratio[:, k] = optimize_weights(state, b1, b2, fixed_zero=port).point[..., 0]
+            ratio[:, k] = optimize_weights(InputState.coherent(port, a), b1, b2,
+                                           fixed_zero=port).point[..., 0]
         except AllDivergentError:
             pass
     return [(x, a, r) for x, row in zip(b2.tolist(), ratio.tolist())

@@ -322,12 +322,14 @@ def require_convergent(dphi, p, q):
 # ---------------------------------------------------------------------------
 
 def closed_form_limit(beta1, beta2):
-    """Zero-offset limit of the bright-pair-sum sensitivity (vacuum input)."""
+    """Zero-offset limit of the bright-pair-sum sensitivity (vacuum input);
+    nan at zero gain, where it reads 0/0."""
     num = 2.0 * np.sqrt(4.0 * np.cosh(beta2 / 2.0) ** 4 * np.sinh(beta1) ** 2
                         + np.cosh(beta1 / 2.0) ** 2 * np.sinh(beta2) ** 2)
     den = (4.0 * np.cosh(beta2 / 2.0) ** 2 * np.sinh(beta1) ** 2
            + np.sinh(beta2) ** 2 * np.cosh(beta1) * (1.0 + np.cosh(beta1)))
-    return num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den
 
 
 def asymptote_high_gain(beta1, beta2):

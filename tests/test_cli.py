@@ -41,6 +41,18 @@ def test_sensitivity_default_summary(tmp_path):
     assert "two_mode_benchmark" in s
 
 
+@pytest.mark.filterwarnings("error")
+def test_sensitivity_at_zero_gain_warns_of_nothing(tmp_path, capsys):
+    """The bright-pair closed form reads 0/0 at zero gain: nan, silently."""
+    rc = main(["sensitivity", "--set", "beta1=0", "--set", "beta2=0",
+               "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    s = read_summary(tmp_path / "summary.txt")
+    assert s["bright_pair_closed_form"] == "nan"
+    assert s["high_gain_asymptote"] == "2"
+
+
 def test_sensitivity_divergent_still_exit_zero(tmp_path):
     rc = main([
         "sensitivity", "--set", "port=1", "--set", "alpha_abs=0.5",
@@ -372,6 +384,22 @@ def test_figure5_slope_band(tmp_path):
     assert -1.1 < float(s["slope_dphi3"]) < -0.9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,keys", [
+    (["5", "--set", "lo=0", "--set", "hi=0", "--set", "points=2"],
+     ("slope_dphi1", "slope_dphi3")),
+    (["8", "--set", "panel=a", "--set", "lo=1", "--set", "hi=1", "--set", "points=3"],
+     ("slope_dphi1",)),
+])
+def test_slope_of_one_photon_number_is_nan(tmp_path, argv, keys):
+    """Points that share one n_total fix no slope: it reads nan, with no
+    fit through them and no warning."""
+    rc = main(["figure", *argv, "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    s = read_summary(tmp_path / "summary.txt")
+    assert [s[k] for k in keys] == ["nan"] * len(keys)
+
+
 def test_figure8_rejects_unknown_panel(tmp_path):
     rc = main(["figure", "8", "--set", "panel=z", "--out", str(tmp_path)])
     assert rc == 2
@@ -413,3 +441,63 @@ def test_timestamp_lines_off_and_on(tmp_path):
     b = (tmp_path / "b" / "fig3.csv").read_text()
     assert "# generated:" not in a
     assert "# generated:" in b
+
+
+# Every in-process run below, in order: exit code, stdout, stderr and every
+# file it writes, with the output directory replaced by "<out>".  The cases
+# cover each subcommand, its check failures and guard exits, figures 3-8 on
+# small grids, the usage errors, an argparse error and the help texts (at a
+# fixed terminal width).
+_BYTE_CASES = [
+    ["lie-verify", "--set", "trials=20"],
+    ["lie-verify", "--set", "trials=20", "--set", "tol=0"],
+    ["sensitivity"],
+    ["sensitivity", "--set", "port=1", "--set", "alpha_abs=0.5"],
+    ["sensitivity", "--set", "port=3", "--set", "alpha_abs=2", "--set", "phase_index=3"],
+    ["sensitivity", "--set", "beta1=2"],
+    ["sensitivity", "--set", "beta1=800"],
+    ["optimize"],
+    ["optimize", "--set", "port=3", "--set", "alpha_abs=2"],
+    ["optimize", "--set", "port=3", "--set", "alpha_abs=2", "--set", "fixed_zero=1"],
+    ["optimize", "--set", "fixed_zero=2"],
+    ["oracle-check", "--set", "trials=2", "--set", "cutoff=8"],
+    ["oracle-check", "--set", "trials=2", "--set", "beta_max=2"],
+    ["figure", "3", "--set", "points=5"],
+    ["figure", "4", "--set", "points=5"],
+    ["figure", "5", "--set", "points=4"],
+    ["figure", "5", "--set", "points=3", "--set", "sweep=diagonal"],
+    ["figure", "6", "--set", "beta2_points=3", "--set", "alpha_points=3"],
+    ["figure", "7", "--set", "beta1=2", "--set", "beta2_points=3", "--set", "alpha_points=3"],
+    *(["figure", "8", "--set", f"panel={p}", "--set", "points=3"] for p in "abcd"),
+    ["sensitivity", "--set", "bogus=1"],
+    ["lie-verify", "--set", "trials=0"],
+    ["sensitivity", "--set", "w1=0", "--set", "w3=0"],
+    ["figure", "8", "--set", "panel=z"],
+    ["figure", "6", "--set", "beta1=abc"],
+    ["figure", "3", "--set", "beta1=0", "--set", "beta2=0"],
+    ["no-such-command"],
+    ["--help"],
+    *([name, "--help"] for name in
+      ("lie-verify", "sensitivity", "optimize", "figure", "oracle-check")),
+]
+
+# recorded before the subcommands returned their summaries to one writer
+CLI_BYTES_SHA256 = "9f9fd4fdd44a0ae9e0d365d4b502ea943cf2103ccd6e63b9446fb353b7974352"
+
+
+def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for i, argv in enumerate(_BYTE_CASES):
+        out = tmp_path / f"run{i}"
+        try:
+            rc = main([*argv, "--out", str(out), "--no-timestamp"])
+        except SystemExit as exc:
+            rc = f"exit {exc.code}"
+        captured = capsys.readouterr()
+        digest.update(f"{argv}\n{rc}\n".encode())
+        for text in (captured.out, captured.err):
+            digest.update(text.replace(str(out), "<out>").encode() + b"\0")
+        for f in sorted(out.iterdir()) if out.is_dir() else ():
+            digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert digest.hexdigest() == CLI_BYTES_SHA256

@@ -77,6 +77,13 @@ def test_input_state_helpers():
     assert c.alpha == (0j, 0.5 + 0.1j, 0j)
 
 
+@pytest.mark.parametrize("port", [1, 2, 3])
+def test_zero_amplitude_coherent_state_is_the_vacuum(port):
+    v, c = InputState.vacuum(), InputState.coherent(port, 0.0)
+    assert c.alpha == v.alpha
+    assert c.slot_vector.tobytes() == v.slot_vector.tobytes()
+
+
 @pytest.mark.parametrize("port", [0, 4, -1])
 def test_coherent_rejects_ports_outside_1_to_3(port):
     with pytest.raises(ValueError, match="port"):
