@@ -344,27 +344,11 @@ def estimator_stats_fock(fsv, weights):
     return _unstack(mean), _unstack(var)
 
 
-def conserved_difference_stats(fsv):
-    """Mean and variance of n1 - n2 - n3 on a truncated state."""
-    return estimator_stats_fock(fsv, (1.0, -1.0, -1.0))
-
-
 def _phase_stack(config, phase_index, offsets):
     """config with phase phase_index replaced by the array phi + offsets."""
     phis = [config.phi1, config.phi2, config.phi3]
     phis[phase_index - 1] = phis[phase_index - 1] + np.asarray(offsets)
     return config.with_phases(*phis)
-
-
-def mean_derivative_fock(space, config, state, weights, phase_index,
-                         h=1e-4, guard=1e-8):
-    """Central-difference d<w.n>/dphi_j through the full Fock circuit.
-
-    One run on the phase stack (phi_j + h, phi_j - h).
-    """
-    fsv = space.run_circuit(_phase_stack(config, phase_index, (h, -h)), state, guard=guard)
-    up, dn = estimator_stats_fock(fsv, weights)[0]
-    return (up - dn) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,20 @@ def generator(i):
 GENERATORS = {i: generator(i) for i in range(1, 9)}
 
 
+def _closed_form(g):
+    """(g, projector P, (f, h)) of exp(alpha g); P and (f, h) are None for
+    the diagonal phase generators."""
+    if np.any(np.diagonal(g)):  # g_7, g_8
+        return g, None, None
+    P = np.diag(np.any(g, axis=1))
+    # the sign of g^2 = +-P/4 tells an amplifier from the splitter
+    return g, P, ((np.cosh, np.sinh) if (g @ g)[P][0].real > 0 else (np.cos, np.sin))
+
+
+#: each generator's closed-form ingredients, built once
+_CLOSED_FORMS = {i: _closed_form(g) for i, g in GENERATORS.items()}
+
+
 def group_element(i, alpha):
     """Closed form of exp(alpha g_i), the action of exp(i alpha K_i) on
     (a1, a2^dag, a3^dag).
@@ -78,18 +92,19 @@ def group_element(i, alpha):
     so exp(alpha g) = I + (f(alpha/2) - 1) P + 2 h(alpha/2) g, where (f, h)
     is (cosh, sinh) for the amplifiers 1..4 (g^2 = P/4) and (cos, sin) for
     the beam splitter 5, 6 (g^2 = -P/4).  The phase generators g_7, g_8 are
-    diagonal and are exponentiated entry by entry.  An array alpha gives
-    the stack of elements, shape alpha.shape + (3, 3).
+    diagonal and are exponentiated entry by entry.  g, P and (f, h) are
+    read from a table built at import.  An array alpha gives the stack of
+    elements, shape alpha.shape + (3, 3).
     """
-    g = generator(i)
+    if i not in _CLOSED_FORMS:
+        raise ValueError(f"generator index must be 1..8, got {i}")
+    g, P, fh = _CLOSED_FORMS[i]
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(np.diagonal(g)):  # g_7, g_8
+    if P is None:
         S = np.zeros(alpha.shape + (3, 3), dtype=complex)
         S[..., _DIAG, _DIAG] = np.exp(alpha[..., None] * np.diagonal(g))
         return S
-    P = np.diag(np.any(g, axis=1))
-    # the sign of g^2 = +-P/4 tells an amplifier from the splitter
-    f, h = (np.cosh, np.sinh) if (g @ g)[P][0].real > 0 else (np.cos, np.sin)
+    f, h = fh
     half = alpha[..., None, None] / 2.0
     return np.where(P, f(half), _EYE) + 2.0 * h(half) * g
 
@@ -195,14 +210,28 @@ AD_K1_REFERENCE[5, 2] = -0.5j
 AD_K1_REFERENCE[6, 1] = -1j
 
 
+def _stack_product(A, B):
+    """A @ B over stacks of 3x3 matrices, summed term by term,
+    sum_k A[..., :, k, None] B[..., None, k, :], in elementwise arithmetic:
+    stacked @ sends each small matrix to BLAS on its own."""
+    return (A[..., :, 0, None] * B[..., None, 0, :]
+            + A[..., :, 1, None] * B[..., None, 1, :]
+            + A[..., :, 2, None] * B[..., None, 2, :])
+
+
+#: J_ii J_kk, so that J X J is _METRIC_SIGNS * X exactly
+_METRIC_SIGNS = np.outer(np.diagonal(METRIC).real, np.diagonal(METRIC).real)
+
+
 def membership_defect(S):
     """Max-abs deviation of J S^dag J S from the identity.
 
-    A stack of shape (..., 3, 3) gives one defect per matrix.
+    A stack of shape (..., 3, 3) gives one defect per matrix.  J S^dag J
+    is S^dag with signs flipped, so one product remains.
     """
     S = np.asarray(S, dtype=complex)
-    dev = np.abs(METRIC @ S.conj().swapaxes(-1, -2) @ METRIC @ S - np.eye(3))
-    defect = np.max(dev, axis=(-2, -1))
+    inv = _METRIC_SIGNS * S.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(_stack_product(inv, S) - _EYE), axis=(-2, -1))
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -217,8 +246,9 @@ def random_elements(rng, n):
     One uniform pair (u, v) per factor, drawn as one (n, _FACTORS, 2)
     array, gives the generator index 1 + floor(8 u) and the gain
     _SCALE (2 v - 1); each element is the left-accumulated product of its
-    factors.  The draws are consumed in order, so the stack equals n
-    successive calls with n = 1.  Products of exact one-parameter
+    factors, formed term by term (_stack_product).  The draws are consumed
+    in order, so the stack equals n successive calls with n = 1, bit for
+    bit: the arithmetic is elementwise.  Products of exact one-parameter
     elements are exact members, so the results fail membership checks
     only through rounding.
     """
@@ -229,9 +259,9 @@ def random_elements(rng, n):
     for i in np.unique(idx):
         pick = idx == i
         G[pick] = group_element(int(i), amp[pick])
-    S = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
-    for f in range(_FACTORS):
-        S = G[:, f] @ S
+    S = G[:, 0]
+    for f in range(1, _FACTORS):
+        S = _stack_product(G[:, f], S)
     return S
 
 

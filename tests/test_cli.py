@@ -281,6 +281,20 @@ def test_runtime_loads_no_scipy(tmp_path, program):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def test_cli_import_leaves_lie_and_oracle_unloaded():
+    # a fresh interpreter: lie and fock_oracle load only in the handlers of
+    # lie-verify and oracle-check
+    src = str(Path(su12sim.__file__).resolve().parent.parent)
+    code = (f"import json, sys\nsys.path.insert(0, {src!r})\nimport su12sim.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('su12sim.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "su12sim.cli" in loaded
+    assert "su12sim.lie" not in loaded and "su12sim.fock_oracle" not in loaded
+
+
 def test_figure4_argmin_is_first_cell_of_the_tie(tmp_path):
     # the 60 finite cells on t = r tie at the vacuum optimum; row-major
     # order puts (-3, -3) first

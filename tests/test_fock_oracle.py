@@ -15,10 +15,9 @@ from su12sim.fock_oracle import (
     TruncatedFockSpace,
     _apply_k,
     _occupation_arrays,
+    _phase_stack,
     compare_with_gaussian,
-    conserved_difference_stats,
     estimator_stats_fock,
-    mean_derivative_fock,
     photon_statistics_fock,
     vacuum_k_variance,
 )
@@ -26,6 +25,22 @@ from su12sim.gaussian import InputState
 from su12sim.interferometer import InterferometerConfig
 from su12sim.lie import SQRT3
 from su12sim.sensitivity import closed_form_limit, mean_derivative
+
+
+def conserved_difference_stats(fsv):
+    """Mean and variance of n1 - n2 - n3 on a truncated state."""
+    return estimator_stats_fock(fsv, (1.0, -1.0, -1.0))
+
+
+def mean_derivative_fock(space, config, state, weights, phase_index,
+                         h=1e-4, guard=1e-8):
+    """Central-difference d<w.n>/dphi_j through the full Fock circuit.
+
+    One run on the phase stack (phi_j + h, phi_j - h).
+    """
+    fsv = space.run_circuit(_phase_stack(config, phase_index, (h, -h)), state, guard=guard)
+    up, dn = estimator_stats_fock(fsv, weights)[0]
+    return (up - dn) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

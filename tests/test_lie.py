@@ -9,6 +9,7 @@ from su12sim.lie import (
     GENERATORS,
     AD_K1_REFERENCE,
     BRACKET_TABLE,
+    _stack_product,
     ad_matrix,
     bracket_coefficients,
     bracket_table_sign,
@@ -73,16 +74,65 @@ def test_random_products_stay_in_group():
 def test_random_elements_equal_successive_draws():
     """The stack equals successive single draws, and each element is the
     left-accumulated product of its factors, whose generator index and
-    gain come from one uniform pair per factor."""
+    gain come from one uniform pair per factor.  The reference product is
+    written out term by term, (G P)_ij = G_i0 P_0j + G_i1 P_1j + G_i2 P_2j,
+    the arithmetic the library uses, so the comparison is exact."""
     stacked = random_elements(np.random.default_rng(19), 500)
     rng = np.random.default_rng(19)
     assert np.array_equal(stacked, np.array([random_elements(rng, 1)[0] for _ in range(500)]))
     rng = np.random.default_rng(19)
     for S in stacked[:20]:
-        product = np.eye(3, dtype=complex)
+        product = None
         for u, v in rng.uniform(size=(6, 2)):
-            product = group_element(1 + int(8.0 * u), 0.8 * (2.0 * v - 1.0)) @ product
+            G = group_element(1 + int(8.0 * u), 0.8 * (2.0 * v - 1.0))
+            product = G if product is None else (G[:, 0, None] * product[None, 0, :]
+                                                 + G[:, 1, None] * product[None, 1, :]
+                                                 + G[:, 2, None] * product[None, 2, :])
         assert np.array_equal(S, product)
+
+
+def _seeded_factor_stacks(seed, n=2000):
+    rng = np.random.default_rng(seed)
+    return [random_elements(rng, n) for _ in range(2)]
+
+
+def test_stack_product_matches_matmul():
+    """The term-by-term stack product against numpy's @ on seeded stacks of
+    group elements.  Relative to each product's largest entry, the two
+    differed by at most 4.4e-16 over 78,000 products of two random
+    elements, and six-factor elements accumulated either way by at most
+    6.6e-16 over 100,000 elements (seeds 0-19); the bound is three times
+    the larger figure."""
+    worst = 0.0
+    for seed in (1, 2, 3):
+        A, B = _seeded_factor_stacks(seed)
+        ref = A @ B
+        dev = np.max(np.abs(_stack_product(A, B) - ref), axis=(-2, -1))
+        worst = max(worst, float(np.max(dev / np.max(np.abs(ref), axis=(-2, -1)))))
+    assert worst <= 2e-15
+    # a single 3x3 pair and a stack with two leading axes
+    A, B = _seeded_factor_stacks(4, n=6)
+    assert np.array_equal(_stack_product(A[0], B[0]), _stack_product(A, B)[0])
+    assert np.array_equal(_stack_product(A.reshape(2, 3, 3, 3), B.reshape(2, 3, 3, 3)),
+                          _stack_product(A, B).reshape(2, 3, 3, 3))
+
+
+def test_membership_defect_matches_three_product_form():
+    """The sign-masked one-product defect against the former
+    |J S^dag J S - I| with three @ products, kept here as the reference;
+    they differed by at most 4.5e-16 over 100,000 random elements (seeds
+    0-19), and the bound is about three times that."""
+    for seed in (5, 6):
+        for S in _seeded_factor_stacks(seed):
+            ref = np.max(np.abs(METRIC @ S.conj().swapaxes(-1, -2) @ METRIC @ S
+                                - np.eye(3)), axis=(-2, -1))
+            assert np.max(np.abs(membership_defect(S) - ref)) <= 1.5e-15
+
+
+@pytest.mark.parametrize("i", [0, 9])
+def test_group_element_rejects_index_outside_table(i):
+    with pytest.raises(ValueError, match="1..8"):
+        group_element(i, 0.5)
 
 
 def test_membership_defect_on_stacks():
