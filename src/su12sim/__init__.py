@@ -1,4 +1,5 @@
-"""Three-mode SU(1,2) interferometer: Gaussian sensitivity analysis and a Fock-space oracle."""
+"""Three-mode interferometer of SU(1,2) mixers, whose transforms form U(1,2):
+Gaussian sensitivity analysis and a Fock-space oracle."""
 
 __version__ = "0.1.0"
 

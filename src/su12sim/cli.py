@@ -1,7 +1,7 @@
 """Command-line front end: figure tables, verification runs, CSV/summary output.
 
 Subcommands
-    lie-verify    group/algebra property suite, PASS/FAIL per property
+    lie-verify    device-transform and algebra checks, PASS/FAIL per property
     sensitivity   zero-phase sensitivity of one configuration
     optimize      optimal detection weights
     figure N      data table behind figure N (3..8) as fig<N>.csv
@@ -32,6 +32,7 @@ import sys
 import numpy as np
 
 from .gaussian import InputState
+from .interferometer import InterferometerConfig
 from .optimizer import (
     AllDivergentError,
     optimal_ratio_surface,
@@ -172,21 +173,35 @@ _LIE_DEFAULTS = {"trials": 10000, "seed": 7, "tol": 1e-9}
 _LIE_STACK = 500
 
 
+def _device_configs(rng, n):
+    """n random devices, one InterferometerConfig stack split by columns from
+    one (n, 11) uniform draw, so no device depends on the stack size: gains
+    in [0, 3.2), pump phases in [0, 2 pi), internal phases in [-pi, pi)."""
+    u = rng.uniform(size=(n, 11)).T
+    return InterferometerConfig(*(3.2 * u[:4]), *(2.0 * np.pi * u[4:8]),
+                                *(np.pi * (2.0 * u[8:] - 1.0)))
+
+
 def cmd_lie_verify(params, args):
     from . import lie
 
     checks = []
 
+    # stacks of at most _LIE_STACK devices keep the sweep's memory flat
     rng = np.random.default_rng(params["seed"])
-    worst = 0.0
-    # stacks of at most _LIE_STACK elements keep the sweep's memory flat; the
-    # elements consume one stream of uniform draws in order, so they do not
-    # depend on the split
+    worst = np.zeros(2)
     for start in range(0, params["trials"], _LIE_STACK):
-        stack = lie.random_elements(rng, min(_LIE_STACK, params["trials"] - start))
-        worst = max(worst, float(np.max(lie.membership_defect(stack))))
-    checks.append((f"membership {params['trials']} random products "
-                   f"(worst defect {worst:.2e})", worst <= params["tol"]))
+        cfg = _device_configs(rng, min(_LIE_STACK, params["trials"] - start))
+        S = cfg.total_matrix()
+        scale = np.max(np.abs(S), axis=(-2, -1))
+        det_dev = np.abs(lie.determinant(S) - np.exp(1j * (cfg.phi1 - cfg.phi2 - cfg.phi3)))
+        worst = np.maximum(worst, [np.max(lie.membership_defect(S) / scale ** 2),
+                                   np.max(det_dev / scale ** 3)])
+    devices = f"{params['trials']} device transforms"
+    checks.append((f"membership of {devices} (worst defect {worst[0]:.2e} of max|S_ij|^2)",
+                   worst[0] <= params["tol"]))
+    checks.append((f"det = exp(i(phi1 - phi2 - phi3)) on {devices} "
+                   f"(worst {worst[1]:.2e} of max|S_ij|^3)", worst[1] <= params["tol"]))
 
     # one global sign must reconcile every tabulated bracket with the
     # commutators of the matrix generators (via K -> i g)
@@ -305,8 +320,6 @@ def cmd_figure(params, args):
     summary = {}
 
     if n == 3:
-        if params["beta1"] == 0.0 and params["beta2"] == 0.0:
-            raise UsageError("degenerate configuration: both gains zero carry no signal")
         rows = phase_surface(
             params["beta1"], params["beta2"],
             weights=(params["w1"], params["w2"], params["w3"]),
@@ -314,9 +327,9 @@ def cmd_figure(params, args):
             phi_hi=params["phi_hi"], points=params["points"],
         )
         header = ("phi2", "phi3", "dphi1")
-        # a table of overflowed (nan) cells has no minimum: its minima read nan
+        # a table with no finite cell (nan or inf) has no minimum: minima read nan
         dphi = np.array([r[2] for r in rows])
-        best = (math.nan,) * 3 if np.isnan(dphi).all() else rows[int(np.nanargmin(dphi))]
+        best = rows[int(np.nanargmin(dphi))] if np.isfinite(dphi).any() else (math.nan,) * 3
         summary.update(min_phi2=best[0], min_phi3=best[1], min_dphi1=best[2])
     elif n == 4:
         rows = weight_surface(

@@ -1,4 +1,4 @@
-"""Photocount moments of coherent inputs after an SU(1,2) mode transform.
+"""Photocount moments of coherent inputs after a U(1,2) mode transform.
 
 A mode matrix S acts linearly on the slots xi = (a1, a2^dag, a3^dag), as
 SU(1,1) does in the two-mode interferometer (Yurke, McCall & Klauder, PRA
@@ -17,7 +17,8 @@ gives every photocount moment:
 photocounts takes the product as an argument: elementwise at a point, the
 truncated series product for the echo series of sensitivity.zero_phase_moments.
 It forms p, u and q with one product, of (m^*, m^*, s^*) and (m, s, s) side
-by side, so a series takes four products in all.
+by side, so a series takes four products in all.  Each moment pairs an entry
+of S with a conjugate one, so the U(1,2) centre S -> exp(i chi) S moves none.
 """
 
 from dataclasses import dataclass

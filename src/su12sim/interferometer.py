@@ -14,7 +14,9 @@ the conjugate beams of the (1,2) and (1,3) mixers.  Each FWM with gain
 beta and pump phase theta acts on the column (a1, a2^dag, a3^dag) as a
 hyperbolic rotation by beta/2 in its mode pair; the phase stage is
 diagonal.  The total transform is the chronological matrix product and
-is always pseudo-unitary (see lie.METRIC).
+is always pseudo-unitary (see lie.METRIC).  The mixers lie in SU(1,2); the
+phase stage has det exp(i(phi1 - phi2 - phi3)), and a phase shift
+chi (1, -1, -1) multiplies it by exp(i chi), the centre of U(1,2).
 
 Every gain, pump phase and internal phase may be an array.  They
 broadcast against each other, and the mixers, the phase stage, the stage
@@ -31,6 +33,7 @@ S4 S3 = R^-1 = G R^T G with G = diag(1, -1, -1).
 """
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -83,15 +86,12 @@ def phase_matrix(phi1, phi2, phi3):
 
 
 def chronological_product(mats):
-    """Product of stage matrices (or stacks of them) listed first-applied first.
+    """Product of a non-empty list of stage matrices (or stacks), first-applied first.
 
     Each stage multiplies from the left, S = S_n (... (S_2 S_1)); the
     association order is part of the result's last bits.
     """
-    S = np.eye(3, dtype=complex)
-    for m in mats:
-        S = m @ S
-    return S
+    return reduce(lambda S, m: m @ S, mats)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,13 @@ module.  Every such matrix S satisfies the pseudo-unitarity relation
 
 equivalently S^dag J S = J: the quadratic form carried by J is the
 photon-number difference n1 - n2 - n3, which is conserved by every
-element of the group.  (As an operator identity, n1 - n2 - n3 commutes
-with each K_i; its commutation action on the triple (a1, a2^dag, a3^dag)
-is -1 times each component, i.e. a multiple of the identity matrix.)
+element of the group.  n1 - n2 - n3 commutes with each K_i and acts on
+(a1, a2^dag, a3^dag) as -1 times the identity: it generates the centre
+exp(i chi) I of U(1,2), the group that J S^dag J S = I defines
+(membership_defect).  The g_i are traceless, so the mixers lie in SU(1,2);
+the device's phase stage adds the centre (see interferometer), so the
+device group is U(1,2) = (SU(1,2) x U(1))/Z_3.  determinant reads the
+central phase, which no photon count sees.
 
 The generators g_i of this module are read from one table of their
 nonzero matrix entries, and the closed-form one-parameter subgroups
@@ -235,34 +239,12 @@ def membership_defect(S):
     return float(defect) if defect.ndim == 0 else defect
 
 
-#: factors of a random element, and the bound on their gains
-_FACTORS = 6
-_SCALE = 0.8
-
-
-def random_elements(rng, n):
-    """n random group members, shape (n, 3, 3): products of closed forms.
-
-    One uniform pair (u, v) per factor, drawn as one (n, _FACTORS, 2)
-    array, gives the generator index 1 + floor(8 u) and the gain
-    _SCALE (2 v - 1); each element is the left-accumulated product of its
-    factors, formed term by term (_stack_product).  The draws are consumed
-    in order, so the stack equals n successive calls with n = 1, bit for
-    bit: the arithmetic is elementwise.  Products of exact one-parameter
-    elements are exact members, so the results fail membership checks
-    only through rounding.
-    """
-    u, v = np.moveaxis(rng.uniform(size=(n, _FACTORS, 2)), -1, 0)
-    idx = 1 + (8.0 * u).astype(int)
-    amp = _SCALE * (2.0 * v - 1.0)
-    G = np.empty((n, _FACTORS, 3, 3), dtype=complex)
-    for i in np.unique(idx):
-        pick = idx == i
-        G[pick] = group_element(int(i), amp[pick])
-    S = G[:, 0]
-    for f in range(1, _FACTORS):
-        S = _stack_product(G[:, f], S)
-    return S
+def determinant(S):
+    """det S of a stack (..., 3, 3) by cofactors along the first row, in
+    elementwise arithmetic, like the stack product."""
+    return (S[..., 0, 0] * (S[..., 1, 1] * S[..., 2, 2] - S[..., 1, 2] * S[..., 2, 1])
+            - S[..., 0, 1] * (S[..., 1, 0] * S[..., 2, 2] - S[..., 1, 2] * S[..., 2, 0])
+            + S[..., 0, 2] * (S[..., 1, 0] * S[..., 2, 1] - S[..., 1, 1] * S[..., 2, 0]))
 
 
 def bracket_table_sign():

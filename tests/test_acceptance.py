@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from su12sim.cli import _device_configs
 from su12sim.fock_oracle import compare_with_gaussian, vacuum_k_variance
 from su12sim.gaussian import InputState, photon_statistics, propagate
 from su12sim.interferometer import InterferometerConfig
@@ -21,8 +22,8 @@ from su12sim.lie import (
     AD_K1_REFERENCE,
     ad_matrix,
     bracket_table_sign,
+    determinant,
     membership_defect,
-    random_elements,
 )
 from su12sim.optimizer import optimize_weights, optimal_ratio_surface, scaling_curve
 from su12sim.sensitivity import (
@@ -47,8 +48,15 @@ def _verdict(name, ok, detail):
 
 def test_criterion_1_group_structure():
     t0 = time.time()
-    rng = np.random.default_rng(2024)
-    worst = float(np.max(membership_defect(random_elements(rng, 10_000))))
+    # the device's own transforms, relative to max|S_ij|^2 and max|S_ij|^3
+    # as lie-verify reports them: members of U(1,2) whose determinant is
+    # the central phase exp(i(phi1 - phi2 - phi3))
+    cfg = _device_configs(np.random.default_rng(2024), 10_000)
+    S = cfg.total_matrix()
+    scale = np.max(np.abs(S), axis=(-2, -1))
+    worst = float(np.max(membership_defect(S) / scale ** 2))
+    centre = np.exp(1j * (cfg.phi1 - cfg.phi2 - cfg.phi3))
+    worst_det = float(np.max(np.abs(determinant(S) - centre) / scale ** 3))
     sign, devs = bracket_table_sign()
     worst_brk = max(devs.values())
 
@@ -56,8 +64,9 @@ def test_criterion_1_group_structure():
     dt = time.time() - t0
     ok, line = _verdict(
         "group structure",
-        worst < 1e-9 and worst_brk < 1e-12 and ad_dev < 1e-14 and dt < 10,
-        f"1e4 membership defects <= {worst:.2e}; 28 brackets match the "
+        worst < 1e-9 and worst_det < 1e-9 and worst_brk < 1e-12 and ad_dev < 1e-14 and dt < 10,
+        f"1e4 device transforms: membership defects <= {worst:.2e}, det "
+        f"deviations <= {worst_det:.2e}; 28 brackets match the "
         f"table with global sign {sign:+.0f} to {worst_brk:.2e}; adjoint reference "
         f"deviation {ad_dev:.2e}; {dt:.1f}s",
     )

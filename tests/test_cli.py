@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import su12sim
-from su12sim.cli import main
+from su12sim.cli import _device_configs, main
 
 
 def read_summary(path):
@@ -22,11 +22,40 @@ def read_summary(path):
 
 
 def test_lie_verify_passes(tmp_path, capsys):
-    rc = main(["lie-verify", "--set", "trials=500", "--out", str(tmp_path)])
+    """The default sweep checks 10,000 device transforms for membership of
+    U(1,2) and for the central phase in their determinant."""
+    rc = main(["lie-verify", "--out", str(tmp_path)])
     out = capsys.readouterr().out
+    lines = out.splitlines()
     assert rc == 0
-    assert "lie-verify: PASS" in out
     assert out.count("FAIL") == 0
+    assert lines[0].startswith("PASS membership of 10000 device transforms (worst defect ")
+    assert lines[1].startswith("PASS det = exp(i(phi1 - phi2 - phi3)) on 10000 device transforms")
+    assert lines[-1] == "lie-verify: PASS (33 checks, 0 failed)"
+
+
+def test_lie_verify_at_zero_tolerance_fails(tmp_path, capsys):
+    # rounding leaves every device transform a nonzero defect
+    rc = main(["lie-verify", "--set", "tol=0", "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[0].startswith("FAIL membership") and lines[1].startswith("FAIL det")
+    assert lines[-1] == "lie-verify: FAIL (33 checks, 2 failed)"
+
+
+def test_device_stacks_do_not_depend_on_the_split():
+    """lie-verify draws its devices in stacks of 500; one (n, 11) uniform
+    draw per stack makes the devices, and their transforms, the same bits
+    however the stream is split."""
+    whole = _device_configs(np.random.default_rng(7), 1200)
+    for sizes in ((500, 500, 200), (1, 699, 500), (300,) * 4):
+        rng = np.random.default_rng(7)
+        parts = [_device_configs(rng, n) for n in sizes]
+        for field in ("beta1", "theta4", "phi3"):
+            joined = np.concatenate([getattr(p, field) for p in parts])
+            assert np.array_equal(joined, getattr(whole, field))
+        joined = np.concatenate([p.total_matrix() for p in parts])
+        assert np.array_equal(joined.view(np.uint64), whole.total_matrix().view(np.uint64))
 
 
 def test_sensitivity_default_summary(tmp_path):
@@ -379,12 +408,20 @@ def test_figure3_overflow_reads_nan_not_no_signal(tmp_path):
     assert [s[k] for k in ("min_phi2", "min_phi3", "min_dphi1")] == ["nan"] * 3
 
 
-def test_figure3_rejects_zero_gain(tmp_path):
-    rc = main([
-        "figure", "3", "--set", "beta1=0", "--set", "beta2=0",
-        "--out", str(tmp_path),
-    ])
-    assert rc == 2
+@pytest.mark.filterwarnings("error")
+def test_figure3_at_zero_gains_has_no_minimum(tmp_path, capsys):
+    """Both gains zero carry no signal: every cell is divergent (inf), as
+    sensitivity reports that cascade, and a table with no finite cell has
+    no minimum, so its minima read nan."""
+    rc = main(["figure", "3", "--set", "beta1=0", "--set", "beta2=0", "--set", "points=5",
+               "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "fig3.csv").read_text().splitlines()
+    rows = [ln for ln in lines if ln and not ln.startswith("#")][1:]
+    assert len(rows) == 25 and all(ln.endswith(",inf") for ln in rows)
+    s = read_summary(tmp_path / "summary.txt")
+    assert [s[k] for k in ("min_phi2", "min_phi3", "min_dphi1")] == ["nan"] * 3
 
 
 def test_figure5_slope_band(tmp_path):
@@ -495,8 +532,10 @@ _BYTE_CASES = [
       ("lie-verify", "sensitivity", "optimize", "figure", "oracle-check")),
 ]
 
-# recorded before the subcommands returned their summaries to one writer
-CLI_BYTES_SHA256 = "9f9fd4fdd44a0ae9e0d365d4b502ea943cf2103ccd6e63b9446fb353b7974352"
+# re-recorded when lie-verify began to sweep device transforms and figure 3
+# to tabulate zero gains; a subprocess run of every case showed that only
+# the two lie-verify runs and the zero-gain figure 3 run changed
+CLI_BYTES_SHA256 = "cb27bd3f21ef128323be01de3c13a9ce61356e42a43e982e08481d5d827c363d"
 
 
 def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from su12sim.interferometer import (InterferometerConfig, fwm_matrix, phase_matrix,
-                                    splitter_matrix)
-from su12sim.lie import GENERATORS, membership_defect
+from su12sim.interferometer import (InterferometerConfig, chronological_product, fwm_matrix,
+                                    phase_matrix, splitter_matrix)
+from su12sim.lie import GENERATORS, determinant, membership_defect
 
 
 def test_fwm_layout_pair12():
@@ -53,6 +53,20 @@ def test_fwm_and_phase_are_group_members():
 def test_phase_matrix_convention():
     P = phase_matrix(0.1, 0.2, 0.3)
     assert np.allclose(np.diag(P), [np.exp(0.1j), np.exp(-0.2j), np.exp(-0.3j)])
+
+
+def test_mixers_have_unit_determinant_and_the_phase_stage_the_central_phase():
+    """The mixers lie in SU(1,2); the phase stage has det exp(i(phi1 - phi2 - phi3)),
+    and shifting its phases by chi (1, -1, -1) multiplies it by exp(i chi)."""
+    rng = np.random.default_rng(43)
+    b, th = rng.uniform(0.0, 3.2, 200), rng.uniform(0.0, 2.0 * np.pi, 200)
+    for pair in ("12", "13"):
+        assert np.max(np.abs(determinant(fwm_matrix(b, th, pair)) - 1.0)) <= 1e-14
+    phi1, phi2, phi3, chi = rng.uniform(-np.pi, np.pi, (4, 200))
+    P = phase_matrix(phi1, phi2, phi3)
+    assert np.max(np.abs(determinant(P) - np.exp(1j * (phi1 - phi2 - phi3)))) <= 1e-15
+    shifted = phase_matrix(phi1 + chi, phi2 - chi, phi3 - chi)
+    assert np.max(np.abs(shifted - np.exp(1j * chi)[:, None, None] * P)) <= 1e-15
 
 
 def test_stage_order_matches_total():
@@ -137,6 +151,36 @@ def test_phase_arrays_give_stacks_of_group_members():
 
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _identity_seeded_product(mats):
+    """The chronological product as first written: every stage multiplied
+    onto the identity."""
+    S = np.eye(3, dtype=complex)
+    for m in mats:
+        S = m @ S
+    return S
+
+
+def test_chronological_product_equals_identity_seeded_loop():
+    """Starting from the first stage drops the product with the identity and
+    no bit: on random stacks, at zero gains and at beta = 800, where the
+    entries overflow to inf and nan."""
+    rng = np.random.default_rng(41)
+    b, th = rng.uniform(0.0, 3.2, (4, 300)), rng.uniform(0.0, 2.0 * np.pi, (4, 300))
+    ph = rng.uniform(-np.pi, np.pi, (3, 300))
+    configs = [InterferometerConfig(*b, *th, *ph),
+               InterferometerConfig(0.0, 0.0, 0.0, 0.0, *th, *ph),
+               InterferometerConfig.balanced(0.0, 0.0, *ph),
+               InterferometerConfig.balanced(0.0, 0.0),
+               InterferometerConfig.balanced(800.0, b[1], *ph),
+               InterferometerConfig.balanced(800.0, 3.0, 1e-3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cfg in configs:
+            mats = cfg.stage_matrices()
+            S = chronological_product(mats)
+            assert np.array_equal(_bits(S), _bits(_identity_seeded_product(mats)))
+    assert not np.isfinite(S).all()
 
 
 def test_gain_arrays_give_stacks_equal_to_scalar_calls():

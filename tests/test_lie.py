@@ -1,9 +1,12 @@
-"""Group and algebra structure checks for the SU(1,2) defining representation."""
+"""Group and algebra structure checks for the SU(1,2) defining representation,
+on the generators' closed forms and on the device's own transforms, which
+lie-verify samples (cli._device_configs)."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from su12sim.cli import _device_configs
 from su12sim.lie import (
     METRIC,
     GENERATORS,
@@ -13,11 +16,11 @@ from su12sim.lie import (
     ad_matrix,
     bracket_coefficients,
     bracket_table_sign,
+    determinant,
     exp_generator,
     generator,
     group_element,
     membership_defect,
-    random_elements,
 )
 
 
@@ -62,53 +65,33 @@ def test_one_parameter_elements_are_members(i):
         assert membership_defect(group_element(i, a)) <= 1e-9
 
 
+def _device_transforms(seed, n):
+    """Total transforms of n random devices, drawn as lie-verify draws them."""
+    return _device_configs(np.random.default_rng(seed), n).total_matrix()
+
+
 def test_random_products_stay_in_group():
-    rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(300):
-        S = random_elements(rng, 1)[0]
+    for S in _device_transforms(11, 300):
         worst = max(worst, membership_defect(S))
     assert worst < 1e-9
 
 
-def test_random_elements_equal_successive_draws():
-    """The stack equals successive single draws, and each element is the
-    left-accumulated product of its factors, whose generator index and
-    gain come from one uniform pair per factor.  The reference product is
-    written out term by term, (G P)_ij = G_i0 P_0j + G_i1 P_1j + G_i2 P_2j,
-    the arithmetic the library uses, so the comparison is exact."""
-    stacked = random_elements(np.random.default_rng(19), 500)
-    rng = np.random.default_rng(19)
-    assert np.array_equal(stacked, np.array([random_elements(rng, 1)[0] for _ in range(500)]))
-    rng = np.random.default_rng(19)
-    for S in stacked[:20]:
-        product = None
-        for u, v in rng.uniform(size=(6, 2)):
-            G = group_element(1 + int(8.0 * u), 0.8 * (2.0 * v - 1.0))
-            product = G if product is None else (G[:, 0, None] * product[None, 0, :]
-                                                 + G[:, 1, None] * product[None, 1, :]
-                                                 + G[:, 2, None] * product[None, 2, :])
-        assert np.array_equal(S, product)
-
-
 def _seeded_factor_stacks(seed, n=2000):
-    rng = np.random.default_rng(seed)
-    return [random_elements(rng, n) for _ in range(2)]
+    return np.split(_device_transforms(seed, 2 * n), 2)
 
 
 def test_stack_product_matches_matmul():
     """The term-by-term stack product against numpy's @ on seeded stacks of
-    group elements.  Relative to each product's largest entry, the two
-    differed by at most 4.4e-16 over 78,000 products of two random
-    elements, and six-factor elements accumulated either way by at most
-    6.6e-16 over 100,000 elements (seeds 0-19); the bound is three times
-    the larger figure."""
+    device transforms.  Relative to max|A_ij| max|B_ij|, the rounding scale
+    of a product, the two differed by at most 7.8e-16 over 40,000 products
+    of two device transforms (seeds 0-19); the bound is 2.6 times that."""
     worst = 0.0
     for seed in (1, 2, 3):
         A, B = _seeded_factor_stacks(seed)
-        ref = A @ B
-        dev = np.max(np.abs(_stack_product(A, B) - ref), axis=(-2, -1))
-        worst = max(worst, float(np.max(dev / np.max(np.abs(ref), axis=(-2, -1)))))
+        dev = np.max(np.abs(_stack_product(A, B) - A @ B), axis=(-2, -1))
+        scale = np.max(np.abs(A), axis=(-2, -1)) * np.max(np.abs(B), axis=(-2, -1))
+        worst = max(worst, float(np.max(dev / scale)))
     assert worst <= 2e-15
     # a single 3x3 pair and a stack with two leading axes
     A, B = _seeded_factor_stacks(4, n=6)
@@ -119,14 +102,32 @@ def test_stack_product_matches_matmul():
 
 def test_membership_defect_matches_three_product_form():
     """The sign-masked one-product defect against the former
-    |J S^dag J S - I| with three @ products, kept here as the reference;
-    they differed by at most 4.5e-16 over 100,000 random elements (seeds
-    0-19), and the bound is about three times that."""
+    |J S^dag J S - I| with three @ products, kept here as the reference.
+    Relative to max|S_ij|^2, the scale lie-verify reports the defect on,
+    they differed by at most 3.9e-16 over 80,000 device transforms (seeds
+    0-19), and the bound is about four times that."""
     for seed in (5, 6):
         for S in _seeded_factor_stacks(seed):
             ref = np.max(np.abs(METRIC @ S.conj().swapaxes(-1, -2) @ METRIC @ S
                                 - np.eye(3)), axis=(-2, -1))
-            assert np.max(np.abs(membership_defect(S) - ref)) <= 1.5e-15
+            scale = np.max(np.abs(S), axis=(-2, -1)) ** 2
+            assert np.max(np.abs(membership_defect(S) - ref) / scale) <= 1.5e-15
+
+
+def test_determinant_matches_numpy_det():
+    """The cofactor determinant against LAPACK's on device transforms, and
+    det 1 on every one-parameter element: the generators are traceless.
+    Relative to max|S_ij|^3 the two determinants differed by at most
+    4.4e-16 over 80,000 device transforms (seeds 0-19), and the one-parameter
+    determinants missed 1 by at most 2.2e-16; the bounds are 3.4 and 4.5
+    times those."""
+    for seed in (7, 8):
+        for S in _seeded_factor_stacks(seed):
+            scale = np.max(np.abs(S), axis=(-2, -1)) ** 3
+            assert np.max(np.abs(determinant(S) - np.linalg.det(S)) / scale) <= 1.5e-15
+    for i in range(1, 9):
+        elements = group_element(i, np.linspace(-2.0, 2.0, 9))
+        assert np.max(np.abs(determinant(elements) - 1.0)) <= 1e-15, i
 
 
 @pytest.mark.parametrize("i", [0, 9])
@@ -136,7 +137,7 @@ def test_group_element_rejects_index_outside_table(i):
 
 
 def test_membership_defect_on_stacks():
-    stack = random_elements(np.random.default_rng(3), 40)
+    stack = _device_transforms(3, 40)
     stack[7] *= 1.01  # one non-member in the stack
     defects = membership_defect(stack)
     assert defects.shape == (40,)
@@ -162,9 +163,7 @@ def test_membership_defect_flags_non_members():
 
 def test_inverse_from_metric():
     """J S^dag J is the inverse of any group element."""
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        S = random_elements(rng, 1)[0]
+    for S in _device_transforms(5, 20):
         inv = METRIC @ S.conj().T @ METRIC
         assert np.allclose(inv @ S, np.eye(3), atol=1e-10)
 
