@@ -22,7 +22,8 @@ Every gain, pump phase and internal phase may be an array.  They
 broadcast against each other, and the mixers, the phase stage, the stage
 list and the total transform then come as stacks of shape (..., 3, 3),
 one matrix per configuration.  A scalar configuration is the shape-()
-case.
+case.  Every product of stages is summed term by term (stack_product), so
+each cell equals its own scalar call bit for bit.
 
 In the balanced configuration (beta4 = beta1, beta3 = beta2, recombiner
 pump phases shifted by pi, all internal phases zero) the cascade undoes
@@ -39,23 +40,19 @@ import numpy as np
 
 
 def fwm_matrix(beta, theta, pair="12"):
-    """Transform of a four-wave mixer on (a1, a2^dag, a3^dag), (..., 3, 3).
-
-    pair selects which conjugate mode the bright mode 1 couples to:
-    "12" or "13".  beta and theta broadcast against each other.
-    """
-    # ch, and with it zero and one, take the broadcast shape of beta and theta
-    ch, sh = np.cosh(beta / 2.0) + 0.0 * theta, np.sinh(beta / 2.0)
-    ep, em = np.exp(1j * theta), np.exp(-1j * theta)
-    zero, one = 0.0 * ch, 0.0 * ch + 1.0
-    if pair == "12":
-        rows = [[ch, em * sh, zero], [ep * sh, ch, zero], [zero, zero, one]]
-    elif pair == "13":
-        rows = [[ch, zero, em * sh], [zero, one, zero], [ep * sh, zero, ch]]
-    else:
+    """Transform of a four-wave mixer on (a1, a2^dag, a3^dag), filled slot by
+    slot into a zeroed (..., 3, 3) stack over the broadcast beta and theta.
+    pair, "12" or "13", picks the conjugate mode that mode 1 couples to.  The
+    idle slots are exact 0 and 1, also where cosh(beta / 2) overflows."""
+    if pair not in ("12", "13"):
         raise ValueError(f"pair must be '12' or '13', got {pair!r}")
-    m = np.array(rows, dtype=complex)
-    return m.transpose((*range(2, m.ndim), 0, 1))
+    k = int(pair[1]) - 1  # the coupled conjugate slot; 3 - k is idle
+    ch, sh = np.cosh(beta / 2.0), np.sinh(beta / 2.0)
+    ep, em = np.exp(1j * theta), np.exp(-1j * theta)
+    M = np.zeros((*np.broadcast(ch, ep).shape, 3, 3), dtype=complex)
+    M[..., 0, 0] = M[..., k, k] = ch
+    M[..., 0, k], M[..., k, 0], M[..., 3 - k, 3 - k] = em * sh, ep * sh, 1.0
+    return M
 
 
 def splitter_matrix(beta1, beta2):
@@ -85,13 +82,22 @@ def phase_matrix(phi1, phi2, phi3):
     return P
 
 
+def stack_product(A, B):
+    """A @ B over broadcasting stacks of 3x3 matrices, summed term by term,
+    sum_k A[..., :, k, None] B[..., None, k, :], in elementwise arithmetic:
+    stacked @ sends each small matrix to BLAS on its own."""
+    return (A[..., :, 0, None] * B[..., None, 0, :]
+            + A[..., :, 1, None] * B[..., None, 1, :]
+            + A[..., :, 2, None] * B[..., None, 2, :])
+
+
 def chronological_product(mats):
     """Product of a non-empty list of stage matrices (or stacks), first-applied first.
 
-    Each stage multiplies from the left, S = S_n (... (S_2 S_1)); the
-    association order is part of the result's last bits.
+    Each stage multiplies from the left, S = S_n (... (S_2 S_1)), through
+    stack_product; the association order is part of the result's last bits.
     """
-    return reduce(lambda S, m: m @ S, mats)
+    return reduce(lambda S, m: stack_product(m, S), mats)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ import math
 
 import numpy as np
 
+from .interferometer import stack_product
+
 SQRT3 = np.sqrt(3.0)
 
 #: pseudo-unitarity metric for the (a1, a2^dag, a3^dag) ordering
@@ -214,15 +216,6 @@ AD_K1_REFERENCE[5, 2] = -0.5j
 AD_K1_REFERENCE[6, 1] = -1j
 
 
-def _stack_product(A, B):
-    """A @ B over stacks of 3x3 matrices, summed term by term,
-    sum_k A[..., :, k, None] B[..., None, k, :], in elementwise arithmetic:
-    stacked @ sends each small matrix to BLAS on its own."""
-    return (A[..., :, 0, None] * B[..., None, 0, :]
-            + A[..., :, 1, None] * B[..., None, 1, :]
-            + A[..., :, 2, None] * B[..., None, 2, :])
-
-
 #: J_ii J_kk, so that J X J is _METRIC_SIGNS * X exactly
 _METRIC_SIGNS = np.outer(np.diagonal(METRIC).real, np.diagonal(METRIC).real)
 
@@ -235,13 +228,13 @@ def membership_defect(S):
     """
     S = np.asarray(S, dtype=complex)
     inv = _METRIC_SIGNS * S.conj().swapaxes(-1, -2)
-    defect = np.max(np.abs(_stack_product(inv, S) - _EYE), axis=(-2, -1))
+    defect = np.max(np.abs(stack_product(inv, S) - _EYE), axis=(-2, -1))
     return float(defect) if defect.ndim == 0 else defect
 
 
 def determinant(S):
     """det S of a stack (..., 3, 3) by cofactors along the first row, in
-    elementwise arithmetic, like the stack product."""
+    elementwise arithmetic, like interferometer.stack_product."""
     return (S[..., 0, 0] * (S[..., 1, 1] * S[..., 2, 2] - S[..., 1, 2] * S[..., 2, 1])
             - S[..., 0, 1] * (S[..., 1, 0] * S[..., 2, 2] - S[..., 1, 2] * S[..., 2, 0])
             + S[..., 0, 2] * (S[..., 1, 0] * S[..., 2, 1] - S[..., 1, 1] * S[..., 2, 0]))

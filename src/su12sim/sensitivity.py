@@ -51,7 +51,7 @@ import numpy as np
 
 from .gaussian import (InputState, estimator_stats, noise_pairing, photocounts,
                        photon_statistics, propagate)
-from .interferometer import chronological_product, splitter_matrix
+from .interferometer import chronological_product, splitter_matrix, stack_product
 
 
 # a quantity within this fraction of its cancellation-free magnitude is zero
@@ -106,7 +106,7 @@ def _slope(config, state, phase_index):
     j, rate = _probe(phase_index)
     S1, S2, P, S3, S4 = mats = config.stage_matrices()
     dS = (rate * P[..., j, j])[..., None, None] * (
-        (S4 @ S3)[..., :, j, None] * (S2 @ S1)[..., None, j, :])
+        stack_product(S4, S3)[..., :, j, None] * stack_product(S2, S1)[..., None, j, :])
     S = chronological_product(mats)
     moments = propagate(S, state)
     dm = dS @ state.slot_vector

@@ -1,4 +1,5 @@
-"""High-precision reference for the balanced cascade at exact pump phase pi.
+"""High-precision reference for the balanced cascade at exact pump phase pi,
+and for figure 3's cells at the library's float pump phase.
 
 Shares no code with su12sim: a reference that did would check nothing.
 The splitters R = S2 S1 are built from cosh and sinh of the half gains, the
@@ -14,8 +15,12 @@ with S = L P(eps) R, m = S alpha~, s = S[:, 0], q = |s|^2, p = |m|^2,
 u = m^* s, v_0 = |S_01|^2 + |S_02|^2 and v_i = |S_i0|^2.  The slope
 d<n>/dphi_j is exact, from dS = L dP R.  On ports whose zero-phase
 covariance and slope vanish, C(eps) / eps^2 and d(eps) / eps are C2 and
-d1 up to O(eps), far below double precision at eps = 1e-25.
+d1 up to O(eps), far below double precision at eps = 1e-25.  figure3_cell
+builds the recombiners from their own mixers at theta = float(pi) instead,
+and takes the moments at figure 3's phase point itself.
 """
+
+import math
 
 from mpmath import mp
 
@@ -23,12 +28,12 @@ DIGITS = 60
 EPS = mp.mpf("1e-25")
 
 
-def _mixer(beta, pair):
+def _mixer(beta, pair, theta=0.0):
     ch, sh = mp.cosh(mp.mpf(beta) / 2), mp.sinh(mp.mpf(beta) / 2)
     k = 1 if pair == "12" else 2
     m = mp.eye(3)
     m[0, 0] = m[k, k] = ch
-    m[0, k] = m[k, 0] = sh
+    m[0, k], m[k, 0] = (mp.expj(-theta) * sh, mp.expj(theta) * sh) if theta else (sh, sh)
     return m
 
 
@@ -41,7 +46,12 @@ def _moments(alpha, beta1, beta2, phase_index, eps):
     P, dP = mp.eye(3), mp.zeros(3, 3)
     P[j, j] = mp.expj(sign[j] * eps)
     dP[j, j] = 1j * sign[j] * P[j, j]
-    S, dS = L * P * R, L * dP * R
+    return _counts(alpha, L * P * R, L * dP * R)
+
+
+def _counts(alpha, S, dS):
+    """Photocount means, covariance and slope of the cascade S with phase
+    derivative dS, on coherent input alpha."""
     a = [mp.mpc(alpha[0]), mp.conj(alpha[1]), mp.conj(alpha[2])]
     m = [mp.fsum(S[i, k] * a[k] for k in range(3)) for i in range(3)]
     dm = [mp.fsum(dS[i, k] * a[k] for k in range(3)) for i in range(3)]
@@ -65,13 +75,33 @@ def _moments(alpha, beta1, beta2, phase_index, eps):
     return mean, cov, slope
 
 
+def _delta_phi(cov, slope, weights):
+    """Error-propagation sensitivity sqrt(w C w) / |w . d| of the weights."""
+    w = [mp.mpf(x) for x in weights]
+    var = mp.fsum(w[i] * cov[i][k] * w[k] for i in range(3) for k in range(3))
+    return float(mp.sqrt(var) / abs(mp.fsum(x * d for x, d in zip(w, slope))))
+
+
 def zero_phase_limit(alpha, beta1, beta2, weights, phase_index=1):
     """Zero-phase sensitivity sqrt(w C w) / |w . d| of the weights, at eps."""
     with mp.workdps(DIGITS):
         _, cov, slope = _moments(alpha, beta1, beta2, phase_index, EPS)
-        w = [mp.mpf(x) for x in weights]
-        var = mp.fsum(w[i] * cov[i][k] * w[k] for i in range(3) for k in range(3))
-        return float(mp.sqrt(var) / abs(mp.fsum(x * d for x, d in zip(w, slope))))
+        return _delta_phi(cov, slope, weights)
+
+
+def figure3_cell(phi2, phi3, beta=3.0, phi1=1e-3, weights=(1.0, 0.0, 1.0)):
+    """dphi1 of one figure 3 cell on vacuum: the balanced cascade at gains
+    beta, on the float phases phi1, phi2, phi3 and with the library's
+    recombiner pump phases theta3 = theta4 = float(pi), not exact pi."""
+    with mp.workdps(DIGITS):
+        theta = mp.mpf(math.pi)
+        R = _mixer(beta, "13") * _mixer(beta, "12")
+        L = _mixer(beta, "12", theta) * _mixer(beta, "13", theta)
+        P = mp.diag([mp.expj(phi1), mp.expj(-phi2), mp.expj(-phi3)])
+        dP = mp.zeros(3, 3)
+        dP[0, 0] = 1j * P[0, 0]
+        _, cov, slope = _counts((0.0, 0.0, 0.0), L * P * R, L * dP * R)
+        return _delta_phi(cov, slope, weights)
 
 
 def optimal_ratio(alpha, beta1, beta2, free, phase_index=1):

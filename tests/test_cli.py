@@ -352,11 +352,11 @@ def test_figure3_csv_layout(tmp_path):
 
 
 # sha256 of the default `figure 3 --no-timestamp` fig3.csv, recorded when the
-# photocount moments came from the closed form on the slots (rank-one output
-# noise) and the slope from the rank-one derivative of the phase stage; the
-# cells' values are checked against high-precision references in
+# stage products began to be summed term by term (interferometer.stack_product)
+# instead of by BLAS, which moved 1,869 of the 3,721 cells by at most 1.1e-14
+# relative; the cells' values are checked against 60-digit references in
 # tests/test_optimizer.py
-FIG3_DEFAULT_SHA256 = "5490c8b45515b4e66652705d0d7151b27f6dc5939316afa747e989a66257cf8d"
+FIG3_DEFAULT_SHA256 = "01284c55106949366da9d697b1bfa0d6abf920addbe75a542c10e7f1dca8c737"
 
 
 def test_figure3_default_csv_bytes_are_pinned(tmp_path):
@@ -532,10 +532,11 @@ _BYTE_CASES = [
       ("lie-verify", "sensitivity", "optimize", "figure", "oracle-check")),
 ]
 
-# re-recorded when lie-verify began to sweep device transforms and figure 3
-# to tabulate zero gains; a subprocess run of every case showed that only
-# the two lie-verify runs and the zero-gain figure 3 run changed
-CLI_BYTES_SHA256 = "cb27bd3f21ef128323be01de3c13a9ce61356e42a43e982e08481d5d827c363d"
+# re-recorded when the stage products began to be summed term by term
+# instead of by BLAS; a subprocess run of every case showed that only the two
+# lie-verify runs, `figure 3 --set points=5` and the `oracle-check` run at
+# cutoff 8 (its dev_cov) changed
+CLI_BYTES_SHA256 = "93a8d686aa457ad79d27f0e9f32b4af68f2c8519c2b338fcfa4e51e4fb8826d2"
 
 
 def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):

@@ -155,7 +155,7 @@ def _bits(x):
 
 def _identity_seeded_product(mats):
     """The chronological product as first written: every stage multiplied
-    onto the identity."""
+    onto the identity with numpy's @, which hands each 3x3 matrix to BLAS."""
     S = np.eye(3, dtype=complex)
     for m in mats:
         S = m @ S
@@ -163,24 +163,79 @@ def _identity_seeded_product(mats):
 
 
 def test_chronological_product_equals_identity_seeded_loop():
-    """Starting from the first stage drops the product with the identity and
-    no bit: on random stacks, at zero gains and at beta = 800, where the
-    entries overflow to inf and nan."""
+    """The term-by-term product against the @ loop, whose BLAS rounding
+    (with fused multiply-adds) no elementwise summation order reproduces.
+    Relative to each matrix's max|S_ij|, the two differed by at most 5.6e-16
+    on the random stacks here and 1.4e-15 over 60,000 random devices (seeds
+    0-199); the bound is about twice that.  At zero gains, where every mixer
+    is the identity, the two agree in value.  At beta = 800 the entries
+    overflow, and the finite entries, real and imaginary parts apart, are the
+    same ones."""
     rng = np.random.default_rng(41)
     b, th = rng.uniform(0.0, 3.2, (4, 300)), rng.uniform(0.0, 2.0 * np.pi, (4, 300))
     ph = rng.uniform(-np.pi, np.pi, (3, 300))
-    configs = [InterferometerConfig(*b, *th, *ph),
-               InterferometerConfig(0.0, 0.0, 0.0, 0.0, *th, *ph),
-               InterferometerConfig.balanced(0.0, 0.0, *ph),
-               InterferometerConfig.balanced(0.0, 0.0),
-               InterferometerConfig.balanced(800.0, b[1], *ph),
-               InterferometerConfig.balanced(800.0, 3.0, 1e-3)]
+    finite = [InterferometerConfig(*b, *th, *ph),
+              InterferometerConfig(0.0, 0.0, 0.0, 0.0, *th, *ph),
+              InterferometerConfig.balanced(0.0, 0.0, *ph),
+              InterferometerConfig.balanced(0.0, 0.0)]
+    overflowing = [InterferometerConfig.balanced(800.0, b[1], *ph),
+                   InterferometerConfig.balanced(800.0, 3.0, 1e-3)]
+    for cfg in finite:
+        mats = cfg.stage_matrices()
+        S, ref = chronological_product(mats), _identity_seeded_product(mats)
+        scale = np.max(np.abs(ref), axis=(-2, -1))
+        assert np.all(np.max(np.abs(S - ref), axis=(-2, -1)) <= 3e-15 * scale)
+        if cfg is not finite[0]:
+            assert np.array_equal(S, ref)
     with np.errstate(over="ignore", invalid="ignore"):
-        for cfg in configs:
+        for cfg in overflowing:
             mats = cfg.stage_matrices()
-            S = chronological_product(mats)
-            assert np.array_equal(_bits(S), _bits(_identity_seeded_product(mats)))
-    assert not np.isfinite(S).all()
+            S, ref = chronological_product(mats), _identity_seeded_product(mats)
+            assert not np.isfinite(S).all()
+            assert np.array_equal(np.isfinite(S.view(float)), np.isfinite(ref.view(float)))
+
+
+def _nested_fwm(beta, theta, pair):
+    """fwm_matrix as first written: a nested array of nine broadcast
+    entries, transposed to put the stack axes first."""
+    ch, sh = np.cosh(beta / 2.0) + 0.0 * theta, np.sinh(beta / 2.0)
+    ep, em = np.exp(1j * theta), np.exp(-1j * theta)
+    zero, one = 0.0 * ch, 0.0 * ch + 1.0
+    if pair == "12":
+        rows = [[ch, em * sh, zero], [ep * sh, ch, zero], [zero, zero, one]]
+    else:
+        rows = [[ch, zero, em * sh], [zero, one, zero], [ep * sh, zero, ch]]
+    m = np.array(rows, dtype=complex)
+    return m.transpose((*range(2, m.ndim), 0, 1))
+
+
+@pytest.mark.parametrize("pair", ["12", "13"])
+def test_fwm_matrix_equals_the_nested_array_build(pair):
+    """The slot-filled stack is C-contiguous and equals the nested build bit
+    for bit: on random gains and pump phases, at zero gains and on broadcast
+    shapes.  Where cosh(beta / 2) overflows, the nested build put nan
+    (0 * inf) into the idle slots; the slot-filled one keeps their exact 0
+    and 1, and the coupled slots agree."""
+    rng = np.random.default_rng(47)
+    cases = [(rng.uniform(-6.0, 6.0, 500), rng.uniform(-7.0, 7.0, 500)),
+             (np.zeros(20), rng.uniform(0.0, 2.0 * np.pi, 20)),
+             (0.0, np.pi),
+             (rng.uniform(0.0, 3.2, (7, 1)), rng.uniform(0.0, 2.0 * np.pi, (1, 5))),
+             (1.3, rng.uniform(0.0, 2.0 * np.pi, 9)),
+             (rng.uniform(0.0, 3.2, 9), 0.4)]
+    for beta, theta in cases:
+        M = fwm_matrix(beta, theta, pair)
+        assert M.flags.c_contiguous
+        assert np.array_equal(_bits(M), _bits(_nested_fwm(beta, theta, pair)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M, nested = fwm_matrix(1500.0, 0.3, pair), _nested_fwm(1500.0, 0.3, pair)
+    k = int(pair[1]) - 1
+    coupled = np.zeros((3, 3), dtype=bool)
+    coupled[np.ix_([0, k], [0, k])] = True
+    assert np.isinf(M[coupled]).all()
+    assert np.array_equal(_bits(M[coupled]), _bits(nested[coupled]))
+    assert np.array_equal(_bits(M[~coupled]), _bits(np.eye(3, dtype=complex)[~coupled]))
+    assert np.isnan(nested[~coupled]).all()
 
 
 def test_gain_arrays_give_stacks_equal_to_scalar_calls():

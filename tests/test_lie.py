@@ -7,12 +7,12 @@ import pytest
 from scipy.linalg import expm
 
 from su12sim.cli import _device_configs
+from su12sim.interferometer import stack_product
 from su12sim.lie import (
     METRIC,
     GENERATORS,
     AD_K1_REFERENCE,
     BRACKET_TABLE,
-    _stack_product,
     ad_matrix,
     bracket_coefficients,
     bracket_table_sign,
@@ -89,15 +89,15 @@ def test_stack_product_matches_matmul():
     worst = 0.0
     for seed in (1, 2, 3):
         A, B = _seeded_factor_stacks(seed)
-        dev = np.max(np.abs(_stack_product(A, B) - A @ B), axis=(-2, -1))
+        dev = np.max(np.abs(stack_product(A, B) - A @ B), axis=(-2, -1))
         scale = np.max(np.abs(A), axis=(-2, -1)) * np.max(np.abs(B), axis=(-2, -1))
         worst = max(worst, float(np.max(dev / scale)))
     assert worst <= 2e-15
     # a single 3x3 pair and a stack with two leading axes
     A, B = _seeded_factor_stacks(4, n=6)
-    assert np.array_equal(_stack_product(A[0], B[0]), _stack_product(A, B)[0])
-    assert np.array_equal(_stack_product(A.reshape(2, 3, 3, 3), B.reshape(2, 3, 3, 3)),
-                          _stack_product(A, B).reshape(2, 3, 3, 3))
+    assert np.array_equal(stack_product(A[0], B[0]), stack_product(A, B)[0])
+    assert np.array_equal(stack_product(A.reshape(2, 3, 3, 3), B.reshape(2, 3, 3, 3)),
+                          stack_product(A, B).reshape(2, 3, 3, 3))
 
 
 def test_membership_defect_matches_three_product_form():

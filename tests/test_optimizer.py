@@ -231,6 +231,29 @@ def test_phase_surface_cells_match_high_precision_values():
         assert dphi1 == pytest.approx(ref, rel=1e-13)
 
 
+# cells (i2, i3) of the default figure 3 grid whose bytes moved when the
+# stage products began to be summed term by term instead of by BLAS: 1,869
+# of the 3,721 cells moved, by at most 1.1e-14 relative.  Against
+# mp_reference.figure3_cell the worst cell, (37, 29), went from 2.86e-14 to
+# 3.98e-14 and the median stayed 1.5e-16.  Listed are that cell and 39 of
+# the moved cells drawn with np.random.default_rng(27).
+FIG3_MOVED_CELLS = [
+    (0, 10), (0, 34), (0, 49), (7, 49), (8, 32), (11, 24), (12, 3), (12, 10), (12, 60),
+    (16, 24), (17, 43), (18, 1), (18, 18), (18, 39), (18, 43), (19, 0), (19, 9), (21, 22),
+    (23, 22), (23, 56), (25, 57), (27, 39), (33, 34), (36, 15), (37, 29), (39, 17), (40, 6),
+    (41, 43), (44, 47), (45, 49), (47, 10), (47, 55), (51, 60), (54, 25), (54, 57), (55, 53),
+    (56, 50), (57, 41), (58, 27), (59, 9),
+]
+
+
+def test_phase_surface_moved_cells_match_60_digit_cascade():
+    axis = np.linspace(-np.pi, np.pi, 61)
+    rows = phase_surface(3.0, 3.0)
+    for i2, i3 in FIG3_MOVED_CELLS:
+        phi2, phi3, dphi1 = rows[61 * i2 + i3]
+        assert dphi1 == pytest.approx(mp_reference.figure3_cell(phi2, phi3), rel=1e-13)
+
+
 # cells (it, ir) of the default 61 x 61 figure 4 grid (vacuum, beta = 3,
 # weights (1, t, r)) and their zero-phase dphi1 from the same cascade in
 # mpmath arithmetic of at least 60 digits at probe offset 1e-40; the first
