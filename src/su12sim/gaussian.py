@@ -14,8 +14,8 @@ gives every photocount moment:
     Cov(n_i, n_j) = q_i q_j + 2 Re(u_i u_j^*)      (i != j)
     Var(n_i) = v_i (v_i + 1) + p_i (2 v_i + 1)
 
-photocounts takes the product as an argument: elementwise at a point, the
-truncated series product for the echo series of sensitivity.zero_phase_moments.
+photocounts takes the product as an argument: elementwise at a point, a
+truncated series product for the moment series of sensitivity's probe offset.
 It forms p, u and q with one product, of (m^*, m^*, s^*) and (m, s, s) side
 by side, so a series takes four products in all.  Each moment pairs an entry
 of S with a conjugate one, so the U(1,2) centre S -> exp(i chi) S moves none.
@@ -67,27 +67,18 @@ class InputState:
         return a
 
 
-@dataclass(frozen=True)
-class OutputMoments:
-    """Mean field m = S alpha~, noise column s = S[:, 0] and noise photon
-    numbers v of the output slots, each (..., 3)."""
-
-    m: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
 def noise_pairing(S, T):
     """conj(S) T summed as in the noise photon numbers v = Re noise_pairing(S, S):
     over S[0, 1:] for mode 1, S[i, 0] alone for modes 2 and 3.  It is
-    sesquilinear, so dv = 2 Re noise_pairing(S, dS)."""
+    sesquilinear: S + f U adds 2 Re(f noise_pairing(S, U)) to v at order f."""
     x = np.conj(S[..., :, 0]) * T[..., :, 0]
     x[..., 0] = np.sum(np.conj(S[..., 0, 1:]) * T[..., 0, 1:], axis=-1)
     return x
 
 
 def propagate(transform, state):
-    """Output moments for a coherent-product input.
+    """Output moments (m, s, v) for a coherent-product input: mean field m =
+    S alpha~, noise column s = S[:, 0] and noise photon numbers v, each (..., 3).
 
     transform may be a mode matrix, a stack of them (..., 3, 3), or
     anything with a total_matrix() method (e.g. InterferometerConfig);
@@ -96,13 +87,12 @@ def propagate(transform, state):
     if hasattr(transform, "total_matrix"):
         transform = transform.total_matrix()
     S = np.asarray(transform, dtype=complex)
-    return OutputMoments(m=S @ state.slot_vector, s=S[..., :, 0],
-                         v=np.real(noise_pairing(S, S)))
+    return S @ state.slot_vector, S[..., :, 0], np.real(noise_pairing(S, S))
 
 
 def photocounts(m, s, v, mul=np.multiply):
     """Photocount means (..., 3) and covariance (..., 3, 3) from m, s and v of
-    OutputMoments, or their series when mul is the product of power series
+    propagate, or their series when mul is the product of power series
     (mul multiplies elementwise in the trailing axes)."""
     pairs = mul(np.conj(np.concatenate((m, m, s), axis=-1)), np.concatenate((m, s, s), axis=-1))
     p, u, q = np.real(pairs[..., :3]), pairs[..., 3:6], np.real(pairs[..., 6:])
@@ -115,8 +105,8 @@ def photocounts(m, s, v, mul=np.multiply):
 
 def photon_statistics(moments):
     """Photon-number means and covariance matrix, real arrays of shapes
-    (..., 3) and (..., 3, 3), from the output moments."""
-    return photocounts(moments.m, moments.s, moments.v)
+    (..., 3) and (..., 3, 3), from the output moments (m, s, v)."""
+    return photocounts(*moments)
 
 
 def estimator_stats(mean, cov, weights):

@@ -91,15 +91,6 @@ def stack_product(A, B):
             + A[..., :, 2, None] * B[..., None, 2, :])
 
 
-def chronological_product(mats):
-    """Product of a non-empty list of stage matrices (or stacks), first-applied first.
-
-    Each stage multiplies from the left, S = S_n (... (S_2 S_1)), through
-    stack_product; the association order is part of the result's last bits.
-    """
-    return reduce(lambda S, m: stack_product(m, S), mats)
-
-
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Gains, pump phases and internal phases of the four-FWM cascade (floats or arrays)."""
@@ -145,5 +136,6 @@ class InterferometerConfig:
         return [S1, S2, phase_matrix(self.phi1, self.phi2, self.phi3), S3, S4]
 
     def total_matrix(self):
-        """Full input->output mode transform (chronological product), (..., 3, 3)."""
-        return chronological_product(self.stage_matrices())
+        """Full input->output mode transform S4 (S3 (P (S2 S1))), (..., 3, 3);
+        the association order is part of the result's last bits."""
+        return reduce(lambda S, m: stack_product(m, S), self.stage_matrices())

@@ -11,11 +11,12 @@ vector d = d<n>/dphi_j: dphi_j = sqrt(w C w) / |w . d|.
 
 The slope is exact.  With R = S2 S1 the splitters, L = S4 S3 the
 recombiners and P the diagonal phase stage, the cascade is S = L P R, and
-only P_jj = exp(rate phi_j) moves with phi_j, so dS/dphi_j = rate P_jj
-L[:, j] R[j] is rank one.  phase_sensitivity and mean_derivative take it
-at a phase point from the full product of the stages.  At zero phase the
-balanced cascade is an echo, L = R^-1, so zero_phase_moments and n_total
-need only the closed-form splitter matrix R.
+only P_jj moves with phi_j: an offset eps is the rank-one update S + f l r^T,
+l = P_jj L[:, j], r = R[j], f = exp(rate eps) - 1.  _rank_one_series gives
+the series in eps of the moments it adds, and photocounts turns them into
+photocount moments; at a phase point the slope is their order-1 term.  At
+zero phase the balanced cascade is an echo, S = I and L = R^-1, so
+zero_phase_moments and n_total need only the closed-form splitter matrix R.
 
 The quantity of interest is usually the limit of dphi_j as the probe
 phase goes to zero, taken in the balanced configuration where the
@@ -49,9 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (InputState, estimator_stats, noise_pairing, photocounts,
-                       photon_statistics, propagate)
-from .interferometer import chronological_product, splitter_matrix, stack_product
+from .gaussian import InputState, estimator_stats, noise_pairing, photocounts, propagate
+from .interferometer import splitter_matrix, stack_product
 
 
 # a quantity within this fraction of its cancellation-free magnitude is zero
@@ -96,21 +96,21 @@ def _probe(phase_index):
 
 
 def _slope(config, state, phase_index):
-    """Output moments of the cascade at the configuration's phase point and
-    the photocount slope d<n>/dphi_j, (..., 3).
-
-    S is the chronological product of the stages.  <n> = v + |m|^2 is a
-    sum of squared moduli of entries of S, so its slope pairs them with dS,
-    rate P_jj times the outer product of L[..., :, j] and R[..., j, :].
-    """
+    """Photocount means (2, ..., 3) and covariance (2, ..., 3, 3) at the phase
+    point (row 0) and their slopes d/dphi_j (row 1): the order-1 series of
+    the moments of S = (L P) R, plus _rank_one_series, plus the cross term
+    2 Re(f noise_pairing(S, l r^T)) in v, with f = rate eps to this order."""
     j, rate = _probe(phase_index)
-    S1, S2, P, S3, S4 = mats = config.stage_matrices()
-    dS = (rate * P[..., j, j])[..., None, None] * (
-        stack_product(S4, S3)[..., :, j, None] * stack_product(S2, S1)[..., None, j, :])
-    S = chronological_product(mats)
-    moments = propagate(S, state)
-    dm = dS @ state.slot_vector
-    return moments, 2.0 * np.real(noise_pairing(S, dS) + np.conj(moments.m) * dm)
+    S1, S2, P, S3, S4 = config.stage_matrices()
+    LP = stack_product(S4, S3) * np.diagonal(P, axis1=-2, axis2=-1)[..., None, :]
+    R = stack_product(S2, S1)
+    S = stack_product(LP, R)
+    ell, r = LP[..., :, j], R[..., j, :]
+    f, ff = _OFFSET_SERIES[rate]
+    m, s, v = _rank_one_series(f[:2, 0], ff[:2, 0], ell, r, state.slot_vector)
+    m[0], s[0], v[0] = propagate(S, state)
+    v[1] += 2.0 * np.real(rate * noise_pairing(S, ell[..., :, None] * r[..., None, :]))
+    return photocounts(m, s, v, _first_order)
 
 
 def mean_derivative(config, state, weights, phase_index):
@@ -118,8 +118,8 @@ def mean_derivative(config, state, weights, phase_index):
 
     A configuration with stacked phases gives an array of the stack's shape.
     """
-    _, dmean = _slope(config, state, phase_index)
-    return _unstack(np.vecdot(dmean, np.asarray(weights, dtype=float)))
+    mean, _ = _slope(config, state, phase_index)
+    return _unstack(np.vecdot(mean[1], np.asarray(weights, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,7 @@ def phase_sensitivity(config, state, weights, phase_index=1):
     shape, each element equal to the call on that one configuration.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        moments, dmean = _slope(config, state, phase_index)
-        mean_vec, cov = photon_statistics(moments)
+        (mean_vec, dmean), (cov, _) = _slope(config, state, phase_index)
         w = np.asarray(weights, dtype=float)
         w_abs = np.abs(w)
         mean, var = estimator_stats(mean_vec, cov, w)
@@ -195,6 +194,14 @@ def _cauchy(x, y):
     return np.einsum("abk,a...,b...->k...", _CAUCHY, x, y)
 
 
+def _first_order(x, y):
+    """(x0 y0, x0 y1 + x1 y0): the order-1 truncation of _cauchy, for series
+    whose coefficients run along the first axis of equal-rank arrays."""
+    xy = x[0] * y
+    xy[1] += x[1] * y[0]
+    return xy
+
+
 def _offset_series(rate):
     """Series (SERIES_ORDER + 1, 2) of f = exp(rate eps) - 1 and its moduli, and of |f|^2."""
     c = np.append(0.0, np.cumprod(rate / _ORDERS[1:]))  # the eps^k coefficients of f
@@ -203,6 +210,20 @@ def _offset_series(rate):
 
 
 _OFFSET_SERIES = {rate: _offset_series(rate) for rate in (1j, -1j)}
+
+
+def _rank_one_series(f, ff, ell, r, a):
+    """Series (m, s, v) of the output moments that the update f l r^T of a
+    mode matrix adds for slot amplitudes a: m = f (r . a) l, s = f r_0 l and
+    v = |f|^2 w, w_0 = |l_0 r_1|^2 + |l_0 r_2|^2 and w_i = |l_i r_0|^2 (i > 0).
+    The series of f and ff = |f|^2 run along their first axis, and their other
+    axes lead those of ell, r and a; the caller sets the order-0 moments."""
+    f = f.reshape(*f.shape, *(1,) * (ell.ndim - f.ndim + 1))
+    ell_r0 = ell * r[..., :1]
+    w = np.abs(ell_r0) ** 2
+    w[..., 0] = (np.abs(ell[..., :1] * r[..., 1:]) ** 2).sum(axis=-1)
+    return (f * ((r * a).sum(axis=-1, keepdims=True) * ell), f * ell_r0,
+            ff.reshape(f.shape) * w)
 
 
 def zero_phase_moments(state, beta1, beta2, phase_index=1):
@@ -217,8 +238,7 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
     The balanced cascade is an echo: the recombiners invert the splitters
     R, so S(eps) = I + f l r^T exactly, with r = R[j], l = G_jj G r,
     G = diag(1, -1, -1) and f = exp(rate eps) - 1.  Its output moments are
-    m = alpha~ + f (r . alpha~) l, s = e_0 + f r_0 l and v = |f|^2 w, with
-    w_0 = (l_0 r_1)^2 + (l_0 r_2)^2 and w_i = (l_i r_0)^2 for i = 1, 2, and
+    those of I, (alpha~, e_0, 0), plus _rank_one_series, and
     gaussian.photocounts takes their series.  Row 1 of each result repeats
     row 0's computation on the moduli of all inputs: a cancellation-free
     bound.  A cell whose moments are not finite (they overflow at large
@@ -233,15 +253,10 @@ def zero_phase_moments(state, beta1, beta2, phase_index=1):
         r, ell = np.array([r, np.abs(r)]), np.array([ell, np.abs(ell)])
         a = state.slot_vector
         a = np.array([a, np.abs(a)]).reshape(2, *(1,) * (r.ndim - 2), 3)
-        f = f.reshape(*f.shape, *(1,) * (r.ndim - 1))
-        ell_r0 = ell * r[..., :1]
-        m = f * ((r * a).sum(axis=-1, keepdims=True) * ell)
+        m, s, v = _rank_one_series(f, ff, ell, r, a)
         m[0] = a
-        s = f * ell_r0
         s[0, ..., 0] = 1.0
-        w = ell_r0 ** 2
-        w[..., 0] = ((ell[..., :1] * r[..., 1:]) ** 2).sum(axis=-1)
-        mean, cov = photocounts(m, s, ff.reshape(f.shape) * w, _cauchy)
+        mean, cov = photocounts(m, s, v, _cauchy)
     cov = cov.transpose(1, *range(2, cov.ndim - 2), 0, -2, -1)  # series axis after x, gains
     mean = mean.transpose(1, *range(2, mean.ndim - 1), 0, -1)
     overflow = ~np.isfinite(cov).all(axis=(0, -3, -2, -1))

@@ -17,7 +17,8 @@ d<n>/dphi_j is exact, from dS = L dP R.  On ports whose zero-phase
 covariance and slope vanish, C(eps) / eps^2 and d(eps) / eps are C2 and
 d1 up to O(eps), far below double precision at eps = 1e-25.  figure3_cell
 builds the recombiners from their own mixers at theta = float(pi) instead,
-and takes the moments at figure 3's phase point itself.
+and takes the moments at figure 3's phase point itself.  cascade_moments
+does so for any gains, pump phases and phases of the four mixers.
 """
 
 import math
@@ -102,6 +103,21 @@ def figure3_cell(phi2, phi3, beta=3.0, phi1=1e-3, weights=(1.0, 0.0, 1.0)):
         dP[0, 0] = 1j * P[0, 0]
         _, cov, slope = _counts((0.0, 0.0, 0.0), L * P * R, L * dP * R)
         return _delta_phi(cov, slope, weights)
+
+
+def cascade_moments(alpha, betas, thetas, phis, phase_index=1):
+    """Photocount means, covariance and slope d<n>/dphi_j of any cascade on
+    coherent input alpha: the mixers of gains betas and pump phases thetas,
+    first applied first, around the phase stage on phis."""
+    with mp.workdps(DIGITS):
+        S1, S2, S3, S4 = (_mixer(b, pair, mp.mpf(th)) for b, th, pair in
+                          zip(betas, thetas, ("12", "13", "13", "12")))
+        sign = [1, -1, -1]  # slots carry a1, a2^dag, a3^dag
+        P = mp.diag([mp.expj(s * mp.mpf(phi)) for s, phi in zip(sign, phis)])
+        j = phase_index - 1
+        dP = mp.zeros(3, 3)
+        dP[j, j] = 1j * sign[j] * P[j, j]
+        return _counts(alpha, S4 * S3 * P * S2 * S1, S4 * S3 * dP * S2 * S1)
 
 
 def optimal_ratio(alpha, beta1, beta2, free, phase_index=1):

@@ -352,11 +352,11 @@ def test_figure3_csv_layout(tmp_path):
 
 
 # sha256 of the default `figure 3 --no-timestamp` fig3.csv, recorded when the
-# stage products began to be summed term by term (interferometer.stack_product)
-# instead of by BLAS, which moved 1,869 of the 3,721 cells by at most 1.1e-14
-# relative; the cells' values are checked against 60-digit references in
+# phase-point slope became the order-1 term of the rank-one moment series,
+# which moved 2,528 of the 3,721 cells by at most 1.6e-14 relative; the
+# cells' values are checked against 60-digit references in
 # tests/test_optimizer.py
-FIG3_DEFAULT_SHA256 = "01284c55106949366da9d697b1bfa0d6abf920addbe75a542c10e7f1dca8c737"
+FIG3_DEFAULT_SHA256 = "ae299a4e853a6c7325e1e873a21b5a7e2d6a824cb9b16959355ed8fee6f6adb5"
 
 
 def test_figure3_default_csv_bytes_are_pinned(tmp_path):
@@ -532,11 +532,11 @@ _BYTE_CASES = [
       ("lie-verify", "sensitivity", "optimize", "figure", "oracle-check")),
 ]
 
-# re-recorded when the stage products began to be summed term by term
-# instead of by BLAS; a subprocess run of every case showed that only the two
-# lie-verify runs, `figure 3 --set points=5` and the `oracle-check` run at
-# cutoff 8 (its dev_cov) changed
-CLI_BYTES_SHA256 = "93a8d686aa457ad79d27f0e9f32b4af68f2c8519c2b338fcfa4e51e4fb8826d2"
+# re-recorded when the phase-point slope became the order-1 term of the
+# rank-one moment series; a subprocess run of every case and of every
+# subcommand at its defaults showed that only `figure 3` and
+# `figure 3 --set points=5` changed
+CLI_BYTES_SHA256 = "5fd805a013426d960f05a8366ac6409f327039b4122593d8547b3a3b9aef995c"
 
 
 def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):

@@ -248,8 +248,8 @@ def test_stacked_transforms_give_stacked_moments():
     cfg = InterferometerConfig(0.7, 0.4, 0.9, 0.3, 0.2, 1.1, 2.0, 4.0,
                                rng.uniform(0, 2 * np.pi, (2, 3)), 0.5, rng.uniform(0, 2 * np.pi, 3))
     state = InputState((0.5, 0.2j, -0.3 + 0.1j))
-    moments = propagate(cfg, state)
-    assert moments.m.shape == moments.s.shape == moments.v.shape == (2, 3, 3)
+    moments = m, s, v = propagate(cfg, state)
+    assert m.shape == s.shape == v.shape == (2, 3, 3)
     mean, cov = photon_statistics(moments)
     assert mean.shape == (2, 3, 3) and cov.shape == (2, 3, 3, 3)
     S = cfg.total_matrix()

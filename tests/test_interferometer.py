@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from su12sim.interferometer import (InterferometerConfig, chronological_product, fwm_matrix,
-                                    phase_matrix, splitter_matrix)
+from su12sim.interferometer import InterferometerConfig, fwm_matrix, phase_matrix, splitter_matrix
 from su12sim.lie import GENERATORS, determinant, membership_defect
 
 
@@ -154,7 +153,7 @@ def _bits(x):
 
 
 def _identity_seeded_product(mats):
-    """The chronological product as first written: every stage multiplied
+    """The total transform as first written: every stage multiplied
     onto the identity with numpy's @, which hands each 3x3 matrix to BLAS."""
     S = np.eye(3, dtype=complex)
     for m in mats:
@@ -162,7 +161,7 @@ def _identity_seeded_product(mats):
     return S
 
 
-def test_chronological_product_equals_identity_seeded_loop():
+def test_total_matrix_equals_identity_seeded_loop():
     """The term-by-term product against the @ loop, whose BLAS rounding
     (with fused multiply-adds) no elementwise summation order reproduces.
     Relative to each matrix's max|S_ij|, the two differed by at most 5.6e-16
@@ -182,7 +181,7 @@ def test_chronological_product_equals_identity_seeded_loop():
                    InterferometerConfig.balanced(800.0, 3.0, 1e-3)]
     for cfg in finite:
         mats = cfg.stage_matrices()
-        S, ref = chronological_product(mats), _identity_seeded_product(mats)
+        S, ref = cfg.total_matrix(), _identity_seeded_product(mats)
         scale = np.max(np.abs(ref), axis=(-2, -1))
         assert np.all(np.max(np.abs(S - ref), axis=(-2, -1)) <= 3e-15 * scale)
         if cfg is not finite[0]:
@@ -190,7 +189,7 @@ def test_chronological_product_equals_identity_seeded_loop():
     with np.errstate(over="ignore", invalid="ignore"):
         for cfg in overflowing:
             mats = cfg.stage_matrices()
-            S, ref = chronological_product(mats), _identity_seeded_product(mats)
+            S, ref = cfg.total_matrix(), _identity_seeded_product(mats)
             assert not np.isfinite(S).all()
             assert np.array_equal(np.isfinite(S.view(float)), np.isfinite(ref.view(float)))
 

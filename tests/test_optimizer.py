@@ -232,17 +232,18 @@ def test_phase_surface_cells_match_high_precision_values():
 
 
 # cells (i2, i3) of the default figure 3 grid whose bytes moved when the
-# stage products began to be summed term by term instead of by BLAS: 1,869
-# of the 3,721 cells moved, by at most 1.1e-14 relative.  Against
-# mp_reference.figure3_cell the worst cell, (37, 29), went from 2.86e-14 to
-# 3.98e-14 and the median stayed 1.5e-16.  Listed are that cell and 39 of
-# the moved cells drawn with np.random.default_rng(27).
+# phase-point slope became the order-1 term of the rank-one moment series,
+# with the cascade taken as (S4 S3 P)(S2 S1): 2,528 of the 3,721 cells
+# moved, by at most 1.6e-14 relative.  Against mp_reference.figure3_cell the
+# worst cell, (37, 29), went from 3.98e-14 to 2.41e-14 and the median from
+# 1.53e-16 to 1.67e-16.  Listed are that cell and 39 of the moved cells drawn
+# with np.random.default_rng(31).
 FIG3_MOVED_CELLS = [
-    (0, 10), (0, 34), (0, 49), (7, 49), (8, 32), (11, 24), (12, 3), (12, 10), (12, 60),
-    (16, 24), (17, 43), (18, 1), (18, 18), (18, 39), (18, 43), (19, 0), (19, 9), (21, 22),
-    (23, 22), (23, 56), (25, 57), (27, 39), (33, 34), (36, 15), (37, 29), (39, 17), (40, 6),
-    (41, 43), (44, 47), (45, 49), (47, 10), (47, 55), (51, 60), (54, 25), (54, 57), (55, 53),
-    (56, 50), (57, 41), (58, 27), (59, 9),
+    (0, 16), (1, 7), (2, 25), (3, 9), (3, 59), (4, 4), (4, 37), (6, 6), (6, 47), (10, 39),
+    (11, 3), (12, 32), (15, 58), (17, 4), (18, 5), (18, 9), (18, 13), (21, 11), (25, 41),
+    (28, 39), (29, 16), (29, 57), (33, 10), (33, 30), (34, 50), (36, 14), (37, 4), (37, 29),
+    (40, 8), (40, 53), (41, 13), (42, 29), (43, 15), (43, 46), (46, 30), (50, 3), (54, 17),
+    (54, 48), (59, 14), (59, 51),
 ]
 
 

@@ -11,10 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
+import mp_reference
 from su12sim import sensitivity
 from su12sim.gaussian import InputState, photon_statistics, propagate
 from su12sim.interferometer import InterferometerConfig
+from su12sim.optimizer import optimize_weights
 from su12sim.sensitivity import (
     NonConvergentLimitError,
     asymptote_high_gain,
@@ -107,6 +110,46 @@ def test_stacked_sensitivity_equals_per_configuration_calls(port, balanced):
         assert np.all(rep.delta_phi == np.inf) and np.all(rep.derivative == 0.0)
         if port == 0:
             assert np.all(rep.variance == 0.0)
+
+
+def test_phase_point_moments_match_60_digit_cascade():
+    """Mean, variance and slope of phase_sensitivity on general devices against
+    mp_reference.cascade_moments: unbalanced gains up to 3, random pump and
+    internal phases, complex light in all three ports, phases 1-3.  Each error
+    is relative to the quantity's gross magnitude sum_i |w_i| |x_i|.  Over
+    1,800 draws of these devices (seeds 0-3) the worst were 1.8e-15, 2.7e-15
+    and 4.6e-14; each bound is four to six times its worst."""
+    rng = np.random.default_rng(31)
+    for k in range(40):
+        betas, thetas = rng.uniform(0.0, 3.0, 4), rng.uniform(0.0, 2.0 * np.pi, 4)
+        phis = rng.uniform(-np.pi, np.pi, 3)
+        alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
+        w, j = rng.normal(size=3), 1 + k % 3
+        rep = phase_sensitivity(InterferometerConfig(*betas, *thetas, *phis),
+                                InputState(tuple(alpha)), w, j)
+        mean, cov, slope = mp_reference.cascade_moments(alpha, betas, thetas, phis, j)
+        with mp.workdps(mp_reference.DIGITS):
+            for value, x, wx, bound in (
+                    (rep.mean, mean, w, 1e-14),
+                    (rep.variance, [c for row in cov for c in row], np.outer(w, w).ravel(), 1e-14),
+                    (rep.derivative, slope, w, 2e-13)):
+                ref = mp.fsum(a * b for a, b in zip(wx, x))
+                gross = mp.fsum(abs(a) * abs(b) for a, b in zip(wx, x))
+                assert abs(value - ref) <= bound * gross
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0, 5.0])
+def test_exact_slope_respects_the_bound_at_the_dark_fringe(beta):
+    """Near the dark fringe, with the optimal zero-phase weights, no phase point
+    beats 1/sqrt(N(N+2)) (Yurke, McCall & Klauder, PRA 33, 4033, 1986); a
+    central-difference slope did, at phi1 = 1.9e-4 and beta = 3.  The least
+    ratio dphi sqrt(N(N+2)) - 1 reads 6e-15, at beta = 1."""
+    eps = np.logspace(-7.0, -1.0, 200)
+    cfg = InterferometerConfig.balanced(beta, beta, np.concatenate((-eps, eps)))
+    weights = optimize_weights(VAC, beta, beta).weights
+    n = n_total((beta, beta))
+    dphi = phase_sensitivity(cfg, VAC, weights).delta_phi
+    assert np.all(dphi >= (1.0 - 1e-12) / np.sqrt(n * (n + 2.0)))
 
 
 def _central_difference_slope(cfg, state, weights, phase_index, h=1e-5):
